@@ -304,6 +304,12 @@ impl Retriever {
         k: usize,
     ) -> Vec<GroundedSource> {
         let hits = self.index.search(query, k);
+        // The reflection fan-out gets its own stage: it is most of a
+        // fragment's CPU, and `retrieved`/`kept` make the filter's
+        // selectivity visible per fragment.
+        let reflect_start = std::time::Instant::now();
+        let mut span = ioobserve::tracer().span_fine("stage.reflect");
+        span.set_attr("retrieved", hits.len());
         let verdicts: Vec<(usize, bool)> = hits
             .par_iter()
             .map(|hit| {
@@ -338,6 +344,11 @@ impl Retriever {
                 score: hit.score,
             });
         }
+        span.set_attr("kept", out.len());
+        drop(span);
+        ioobserve::metrics()
+            .histogram("stage.reflect_ns")
+            .record_duration(reflect_start.elapsed());
         out
     }
 }

@@ -1005,8 +1005,11 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
         .num_threads(shared.intra_threads)
         .build()
         .expect("intra-job thread pool");
-    let tracer = ioobserve::tracer();
     while let Some(job) = shared.queue.pop() {
+        // Read per job, like every span the pipeline opens, so a tracer
+        // swapped in with `ioobserve::install_tracer` applies from the
+        // next job on.
+        let tracer = ioobserve::tracer();
         shared.counters.workers_busy.add(1);
         let queue_wait = job.enqueued.elapsed();
         let started = Instant::now();
@@ -1079,7 +1082,7 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
         let _ = job.reply.send(result);
         shared.counters.workers_busy.sub(1);
     }
-    tracer.flush();
+    ioobserve::tracer().flush();
 }
 
 /// Run one cache-missing job to completion (or failure) on this worker.

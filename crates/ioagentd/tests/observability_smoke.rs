@@ -252,7 +252,12 @@ fn traced_batch_decomposes_job_time_and_serves_metrics() {
         .get("process")
         .and_then(|p| p.get("histograms"))
         .expect("process histograms");
-    for name in ["stage.llm_ns", "stage.retrieve_ns", "stage.merge_ns"] {
+    for name in [
+        "stage.llm_ns",
+        "stage.retrieve_ns",
+        "stage.reflect_ns",
+        "stage.merge_ns",
+    ] {
         let h = proc_hist
             .get(name)
             .unwrap_or_else(|| panic!("missing {name}"));
@@ -310,6 +315,7 @@ fn traced_batch_decomposes_job_time_and_serves_metrics() {
         "stage.fragments",
         "stage.fragment",
         "stage.retrieve",
+        "stage.reflect",
         "stage.llm",
         "stage.merge",
         "stage.render",
@@ -439,7 +445,7 @@ fn tail_sampling_never_changes_replies_and_prunes_fine_spans() {
         "coarse stage spans are always kept"
     );
     assert!(
-        !records.iter().any(|r| r.name == "llm.call"),
+        !records.iter().any(|r| r.name == "stage.fragment"),
         "fine spans of fast jobs must be dropped under tail:10000ms"
     );
 
@@ -458,7 +464,7 @@ fn tail_sampling_never_changes_replies_and_prunes_fine_spans() {
     );
     let kept = read_spans(&keep_all.0);
     assert!(
-        kept.iter().any(|r| r.name == "llm.call"),
+        kept.iter().any(|r| r.name == "stage.fragment"),
         "tail:0ms must keep fine spans (every job clears the threshold)"
     );
 }

@@ -542,7 +542,9 @@ struct TracerInner {
 }
 
 /// Hands out spans. Cheap to share (`Arc` inside); a disabled tracer is a
-/// `None` and costs one branch per call.
+/// `None` and costs one branch per call. Clones share one sink and one
+/// tail-sampling state.
+#[derive(Clone)]
 pub struct Tracer {
     inner: Option<Arc<TracerInner>>,
 }

@@ -12,8 +12,11 @@
 //! The journal is the fleet-lifetime result map: every distinct
 //! `(trace fingerprint, model, config)` key ever diagnosed, with the last
 //! record for a key winning. Records are appended (and flushed) as jobs
-//! complete; on open the whole file is replayed into an in-memory map.
-//! Robustness rules:
+//! complete. Memory holds only an index — key fingerprint → the record's
+//! byte range in the file, a few dozen bytes a key instead of the ~3 KB
+//! record — and [`ResultStore::get`] reads a record back through its own
+//! read handle, checking the full key it parsed against the one asked
+//! for. Robustness rules:
 //!
 //! - A **torn final line** (crash mid-append) is skipped, not fatal.
 //! - A corrupt or unknown-version line anywhere is skipped and counted.
@@ -22,14 +25,19 @@
 //!   tail can never swallow the next appended record.
 //! - Appends of a key already stored with the same diagnosis are no-ops,
 //!   and compaction rewrites one record per live key whenever the file
-//!   grows past twice the live-entry count.
+//!   grows past twice the live-entry count, rebuilding the index.
+//!
+//! Two keys whose 64-bit fingerprints collide share one index slot: the
+//! later record shadows the earlier, whose lookups then miss (the key
+//! check fails) and are recomputed. A collision can cost a cache hit,
+//! never serve the wrong result.
 
 use crate::{fnv1a, FNV_OFFSET};
 use serde_json::{json, Value};
 use simllm::Diagnosis;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tracebench::IssueLabel;
 
@@ -51,7 +59,7 @@ pub struct ResultKey {
 }
 
 impl ResultKey {
-    /// Hash of the key itself (journal fingerprint, used in summaries).
+    /// Hash of the key itself: the journal index key.
     pub fn fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET;
         fnv1a(&mut h, &self.trace_hash.to_le_bytes());
@@ -61,65 +69,92 @@ impl ResultKey {
     }
 }
 
+/// Where one record's line sits in the journal file (newline excluded).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    offset: u64,
+    len: usize,
+}
+
 /// Disk-backed map of completed diagnoses.
 #[derive(Debug)]
 pub struct ResultStore {
     path: PathBuf,
     writer: BufWriter<File>,
-    entries: HashMap<ResultKey, Diagnosis>,
-    /// Raw records currently in the file (≥ `entries.len()` until compaction).
+    reader: File,
+    /// Key fingerprint → the live record for that key.
+    index: HashMap<u64, Slot>,
+    /// File length: where the next record goes.
+    end: u64,
+    /// The one record most recently read or written — always the live
+    /// record of its key — so [`ResultStore::get`] can hand out a
+    /// reference.
+    last: Option<(ResultKey, Diagnosis)>,
+    /// Raw records currently in the file (≥ `index.len()` until compaction).
     file_records: usize,
     /// Lines skipped while loading (torn tail and/or corrupt records).
     skipped_lines: usize,
 }
 
 impl ResultStore {
-    /// Open a journal, replaying every intact record. Creates the file if
+    /// Open a journal, indexing every intact record. Creates the file if
     /// missing. A torn final line or corrupt interior lines are skipped and
     /// healed by an immediate compaction; they never refuse the open.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
-        // Read *bytes*, not a String: a torn tail can split a multi-byte
-        // UTF-8 character (diagnosis text is not ASCII-only), and
-        // `read_to_string` would then fail the whole open instead of
-        // skipping one line.
-        let mut raw: Vec<u8> = Vec::new();
-        match File::open(&path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut raw)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+        let writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
+        let mut reader = File::open(&path)?;
 
-        let mut entries = HashMap::new();
+        // Stream lines as *bytes*, not Strings: a torn tail can split a
+        // multi-byte UTF-8 character (diagnosis text is not ASCII-only),
+        // and that must skip one line, not fail the open.
+        let mut index = HashMap::new();
         let mut file_records = 0usize;
         let mut skipped_lines = 0usize;
-        for line in raw.split(|&b| b == b'\n') {
+        let mut end = 0u64;
+        let mut ends_in_newline = true;
+        let mut lines = BufReader::new(&mut reader);
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            let read = lines.read_until(b'\n', &mut line)?;
+            if read == 0 {
+                break;
+            }
+            let offset = end;
+            end += read as u64;
+            ends_in_newline = line.last() == Some(&b'\n');
+            if ends_in_newline {
+                line.pop();
+            }
             if line.iter().all(u8::is_ascii_whitespace) {
                 continue;
             }
-            match std::str::from_utf8(line).ok().and_then(parse_record) {
-                Some((key, diagnosis)) => {
-                    entries.insert(key, diagnosis);
+            match std::str::from_utf8(&line).ok().and_then(parse_record) {
+                Some((key, _)) => {
+                    let len = line.len();
+                    index.insert(key.fingerprint(), Slot { offset, len });
                     file_records += 1;
                 }
                 None => skipped_lines += 1,
             }
         }
+        drop(lines);
 
-        let writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
         let mut store = ResultStore {
             path,
             writer,
-            entries,
+            reader,
+            index,
+            end,
+            last: None,
             file_records,
             skipped_lines,
         };
         // Heal damage at open time: skipped lines mean the file holds
         // garbage, and a missing trailing newline means the next append
         // would glue itself onto the torn record.
-        if store.skipped_lines > 0 || (!raw.is_empty() && !raw.ends_with(b"\n")) {
+        if store.skipped_lines > 0 || !ends_in_newline {
             store.compact()?;
         }
         Ok(store)
@@ -132,12 +167,12 @@ impl ResultStore {
 
     /// Distinct keys currently stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the store holds no results.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Raw records in the journal file (drops back to [`ResultStore::len`]
@@ -156,14 +191,21 @@ impl ResultStore {
         std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0)
     }
 
-    /// Look up a persisted diagnosis.
-    pub fn get(&self, key: &ResultKey) -> Option<&Diagnosis> {
-        self.entries.get(key)
-    }
-
-    /// Iterate all persisted results.
-    pub fn iter(&self) -> impl Iterator<Item = (&ResultKey, &Diagnosis)> {
-        self.entries.iter()
+    /// Look up a persisted diagnosis, reading its record back from disk.
+    /// The reference points into a one-record buffer, valid until the
+    /// next call that takes `&mut self`. A record that no longer parses,
+    /// or whose key differs from `key` (a fingerprint collision), is a
+    /// miss.
+    pub fn get(&mut self, key: &ResultKey) -> Option<&Diagnosis> {
+        let slot = *self.index.get(&key.fingerprint())?;
+        if !matches!(&self.last, Some((k, _)) if k == key) {
+            let (found, diagnosis) = self.read_record(slot).ok()??;
+            if found != *key {
+                return None;
+            }
+            self.last = Some((found, diagnosis));
+        }
+        self.last.as_ref().map(|(_, d)| d)
     }
 
     /// Persist one result: append a record and flush. Re-inserting a key
@@ -171,7 +213,7 @@ impl ResultStore {
     /// a superseding record (last record for a key wins on replay). The
     /// journal self-compacts once duplicates outnumber live entries.
     pub fn insert(&mut self, key: ResultKey, diagnosis: Diagnosis) -> io::Result<()> {
-        if self.entries.get(&key) == Some(&diagnosis) {
+        if self.get(&key) == Some(&diagnosis) {
             return Ok(());
         }
         let append_start = std::time::Instant::now();
@@ -183,44 +225,78 @@ impl ResultStore {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
-        self.entries.insert(key, diagnosis);
+        let slot = Slot {
+            offset: self.end,
+            len: line.len(),
+        };
+        self.end += line.len() as u64 + 1;
+        self.index.insert(key.fingerprint(), slot);
+        self.last = Some((key, diagnosis));
         self.file_records += 1;
-        if self.file_records >= COMPACT_MIN_RECORDS && self.file_records > 2 * self.entries.len() {
+        if self.file_records >= COMPACT_MIN_RECORDS && self.file_records > 2 * self.index.len() {
             self.compact()?;
         }
         Ok(())
     }
 
-    /// Rewrite the journal with exactly one record per live key (temp file
-    /// + rename, so a crash mid-compaction leaves the old journal intact).
+    /// Rewrite the journal with exactly one record per live key, copying
+    /// each live record's bytes and rebuilding the index over the new
+    /// file. Writes a temp file and renames it over the journal, so a
+    /// crash mid-compaction leaves the old journal intact.
     pub fn compact(&mut self) -> io::Result<()> {
         let compact_start = std::time::Instant::now();
         let mut span = ioobserve::tracer().span("journal.compact");
-        span.set_attr("live_entries", self.entries.len());
+        span.set_attr("live_entries", self.index.len());
         ioobserve::metrics().counter("journal.compactions").inc();
+        // Deterministic record order keeps compacted journals diffable.
+        let mut live: Vec<(u64, Slot)> = self.index.iter().map(|(&fp, &s)| (fp, s)).collect();
+        live.sort_unstable_by_key(|&(fp, _)| fp);
         let tmp = self.path.with_extension("ndjson.tmp");
+        let mut index = HashMap::with_capacity(live.len());
+        let mut end = 0u64;
         {
             let mut w = BufWriter::new(File::create(&tmp)?);
-            // Deterministic record order keeps compacted journals diffable.
-            let mut keys: Vec<&ResultKey> = self.entries.keys().collect();
-            keys.sort_by(|a, b| {
-                (a.trace_hash, &a.model, &a.config).cmp(&(b.trace_hash, &b.model, &b.config))
-            });
-            for key in keys {
-                let diagnosis = &self.entries[key];
-                w.write_all(render_record(key, diagnosis).as_bytes())?;
+            let mut line = Vec::new();
+            for (fp, slot) in live {
+                self.read_line(slot, &mut line)?;
+                w.write_all(&line)?;
                 w.write_all(b"\n")?;
+                index.insert(
+                    fp,
+                    Slot {
+                        offset: end,
+                        len: slot.len,
+                    },
+                );
+                end += slot.len as u64 + 1;
             }
             w.flush()?;
         }
         std::fs::rename(&tmp, &self.path)?;
         self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
-        self.file_records = self.entries.len();
+        self.reader = File::open(&self.path)?;
+        self.index = index;
+        self.end = end;
+        self.file_records = self.index.len();
         self.skipped_lines = 0;
         ioobserve::metrics()
             .histogram("journal.compact_ns")
             .record_duration(compact_start.elapsed());
         Ok(())
+    }
+
+    /// The raw bytes of the record at `slot`.
+    fn read_line(&mut self, slot: Slot, line: &mut Vec<u8>) -> io::Result<()> {
+        line.resize(slot.len, 0);
+        self.reader.seek(SeekFrom::Start(slot.offset))?;
+        self.reader.read_exact(line)
+    }
+
+    /// The record at `slot`, parsed (`None` if it no longer parses).
+    fn read_record(&mut self, slot: Slot) -> io::Result<Option<(ResultKey, Diagnosis)>> {
+        let mut line = Vec::new();
+        self.read_line(slot, &mut line)?;
+        Ok(std::str::from_utf8(&line).ok().and_then(parse_record))
     }
 }
 
@@ -326,7 +402,7 @@ mod tests {
                 store.insert(k, d).unwrap();
             }
         }
-        let store = ResultStore::open(&path).unwrap();
+        let mut store = ResultStore::open(&path).unwrap();
         assert_eq!(store.len(), 5);
         assert_eq!(store.skipped_lines(), 0);
         let (k, d) = sample(3);
@@ -351,7 +427,7 @@ mod tests {
         store.insert(k.clone(), d2.clone()).unwrap();
         assert_eq!(store.file_records(), 2);
         drop(store);
-        let store = ResultStore::open(&path).unwrap();
+        let mut store = ResultStore::open(&path).unwrap();
         assert_eq!(store.get(&k).unwrap().text, d2.text, "last record wins");
     }
 
@@ -406,7 +482,7 @@ mod tests {
         );
         std::fs::write(&path, &raw[..cut]).unwrap();
 
-        let store = ResultStore::open(&path).unwrap();
+        let mut store = ResultStore::open(&path).unwrap();
         assert_eq!(store.len(), 1, "the intact record must survive");
         let (k, d) = sample(0);
         assert_eq!(store.get(&k), Some(&d));
@@ -432,7 +508,7 @@ mod tests {
         lines.insert(1, "{this is not json");
         std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
 
-        let store = ResultStore::open(&path).unwrap();
+        let mut store = ResultStore::open(&path).unwrap();
         assert_eq!(store.len(), 2);
         let (k, d) = sample(0);
         assert_eq!(store.get(&k), Some(&d));
@@ -475,6 +551,54 @@ mod tests {
             store.get(&k).unwrap().text,
             format!("rev {}", COMPACT_MIN_RECORDS + 3)
         );
+    }
+
+    #[test]
+    fn index_holds_offsets_and_survives_compaction() {
+        let tmp = TempDir::new("journal-index");
+        let path = tmp.0.join("results.ndjson");
+        let mut store = ResultStore::open(&path).unwrap();
+        for n in 0..5 {
+            let (k, d) = sample(n);
+            store.insert(k, d).unwrap();
+        }
+        let mut d1 = sample(1).1;
+        d1.text = "superseded".into();
+        store.insert(sample(1).0, d1.clone()).unwrap();
+        assert_eq!(store.file_records(), 6);
+        store.compact().unwrap();
+        assert_eq!((store.len(), store.file_records()), (5, 5));
+        // Every key reads back through the rebuilt index, in any order,
+        // and appends after compaction land where the index says.
+        for n in [4, 0, 3, 2] {
+            let (k, d) = sample(n);
+            assert_eq!(store.get(&k), Some(&d), "key {n}");
+        }
+        assert_eq!(store.get(&sample(1).0), Some(&d1), "last record wins");
+        let (k, d) = sample(9);
+        store.insert(k.clone(), d.clone()).unwrap();
+        assert_eq!(store.get(&sample(0).0), Some(&sample(0).1));
+        assert_eq!(store.get(&k), Some(&d));
+        drop(store);
+        let mut store = ResultStore::open(&path).unwrap();
+        assert_eq!((store.len(), store.skipped_lines()), (6, 0));
+        assert_eq!(store.get(&k), Some(&d));
+    }
+
+    #[test]
+    fn lookup_verifies_the_full_key() {
+        let tmp = TempDir::new("journal-collide");
+        let path = tmp.0.join("results.ndjson");
+        let mut store = ResultStore::open(&path).unwrap();
+        let (a, da) = sample(0);
+        let (b, _) = sample(1);
+        store.insert(a.clone(), da.clone()).unwrap();
+        // Force a fingerprint collision: b's index slot points at a's
+        // record. The read-back key differs, so b misses.
+        let slot = store.index[&a.fingerprint()];
+        store.index.insert(b.fingerprint(), slot);
+        assert_eq!(store.get(&b), None);
+        assert_eq!(store.get(&a), Some(&da));
     }
 
     #[test]

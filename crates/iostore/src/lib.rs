@@ -6,10 +6,11 @@
 //! perfectly cacheable across process lifetimes:
 //!
 //! - **Diagnosis results** ([`ResultStore`]): an append-only NDJSON journal
-//!   of `(trace fingerprint × model × config) → Diagnosis` records. Loaded
-//!   on start, read through by the in-memory LRU, compacted when duplicate
-//!   records accumulate, and tolerant of a torn final line (a crash mid
-//!   append skips the partial record instead of refusing to start).
+//!   of `(trace fingerprint × model × config) → Diagnosis` records.
+//!   Indexed on start (records stay on disk; memory holds byte offsets),
+//!   read through by the in-memory LRU, compacted when duplicate records
+//!   accumulate, and tolerant of a torn final line (a crash mid append
+//!   skips the partial record instead of refusing to start).
 //! - **The knowledge index** ([`snapshot`]): a versioned snapshot of the
 //!   `VectorIndex` built over the 66-document expert corpus. The header
 //!   carries a format version, the embedder configuration, the chunking
@@ -74,7 +75,7 @@ impl StateDir {
         self.root.join(RESULTS_FILE)
     }
 
-    /// Open the result journal, loading every intact record.
+    /// Open the result journal, indexing every intact record.
     pub fn open_results(&self) -> io::Result<ResultStore> {
         ResultStore::open(self.results_path())
     }

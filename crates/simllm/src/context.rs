@@ -11,7 +11,8 @@
 //!    from the edges.
 //!
 //! The unit of attention is the *line*: structured prompts and Darshan
-//! parser output are both line-oriented.
+//! parser output are both line-oriented. Attended lines borrow from the
+//! prompt; the owning form survives as [`crate::reference::attend`].
 
 use crate::profile::ModelProfile;
 use rand::Rng;
@@ -19,9 +20,10 @@ use rand_chacha::ChaCha8Rng;
 
 /// Outcome of pushing a prompt through the attention model.
 #[derive(Debug, Clone)]
-pub struct Attended {
-    /// Lines the model actually "sees", in original order.
-    pub lines: Vec<String>,
+pub struct Attended<'a> {
+    /// Lines the model actually "sees", in original order, borrowed from
+    /// the prompt.
+    pub lines: Vec<&'a str>,
     /// Total input tokens before attention.
     pub input_tokens: usize,
     /// Whether any content was lost.
@@ -30,13 +32,27 @@ pub struct Attended {
     pub retention: f64,
 }
 
-/// Approximate token count: whitespace-separated words.
+/// Approximate token count: whitespace-separated words, exactly as
+/// [`crate::reference::count_tokens`] counts them. ASCII text counts word
+/// starts in one branch-free byte pass: Unicode `White_Space` restricted
+/// to ASCII is the space and `\t` `\n` `\x0B` `\x0C` `\r`.
 pub fn count_tokens(text: &str) -> usize {
-    text.split_whitespace().count()
+    if !text.is_ascii() {
+        return text.split_whitespace().count();
+    }
+    let ws = |b: u8| (b == b' ') | (b.wrapping_sub(b'\t') < 5);
+    let bytes = text.as_bytes();
+    let first = bytes.first().map_or(0, |&b| usize::from(!ws(b)));
+    first
+        + bytes
+            .iter()
+            .zip(bytes.iter().skip(1))
+            .map(|(&prev, &b)| usize::from(ws(prev) & !ws(b)))
+            .sum::<usize>()
 }
 
 /// Apply the attention model of `profile` to `text`.
-pub fn attend(profile: &ModelProfile, text: &str, rng: &mut ChaCha8Rng) -> Attended {
+pub fn attend<'a>(profile: &ModelProfile, text: &'a str, rng: &mut ChaCha8Rng) -> Attended<'a> {
     let lines: Vec<&str> = text.lines().collect();
     let token_counts: Vec<usize> = lines.iter().map(|l| count_tokens(l).max(1)).collect();
     let input_tokens: usize = token_counts.iter().sum();
@@ -45,7 +61,7 @@ pub fn attend(profile: &ModelProfile, text: &str, rng: &mut ChaCha8Rng) -> Atten
     if input_tokens <= budget / 2 {
         // Comfortable load: everything attended.
         return Attended {
-            lines: lines.iter().map(|s| s.to_string()).collect(),
+            lines,
             input_tokens,
             truncated: false,
             retention: 1.0,
@@ -100,11 +116,11 @@ pub fn attend(profile: &ModelProfile, text: &str, rng: &mut ChaCha8Rng) -> Atten
         }
     }
 
-    let attended: Vec<String> = lines
+    let attended: Vec<&str> = lines
         .iter()
         .zip(&keep)
         .filter(|(_, &k)| k)
-        .map(|(l, _)| l.to_string())
+        .map(|(l, _)| *l)
         .collect();
     let retention = attended.len() as f64 / n.max(1) as f64;
     Attended {

@@ -32,6 +32,7 @@ pub mod faults;
 pub mod iokb;
 pub mod profile;
 pub mod quality;
+pub mod reference;
 pub mod report;
 pub mod rng;
 pub mod tasks;
@@ -43,7 +44,37 @@ pub use faults::{
 pub use profile::{profile, profile_or_panic, ModelProfile, PROFILES};
 pub use report::{extract_issues, Diagnosis};
 
+use ioobserve::{Counter, FloatCounter, Histogram};
 use parking_lot::Mutex;
+use std::sync::{Arc, OnceLock};
+
+/// The `llm.*` instruments every delivered completion records, resolved
+/// from the global registry once instead of looked up by name per call.
+/// Rare-path counters (faults, cancellations) stay looked up on use, so
+/// they only appear in the registry once something actually faulted.
+struct LlmMetrics {
+    calls: Arc<Counter>,
+    input_tokens: Arc<Counter>,
+    output_tokens: Arc<Counter>,
+    cost_usd: Arc<FloatCounter>,
+    call_ns: Arc<Histogram>,
+    attempts: Arc<Histogram>,
+}
+
+fn llm_metrics() -> &'static LlmMetrics {
+    static HANDLES: OnceLock<LlmMetrics> = OnceLock::new();
+    HANDLES.get_or_init(|| {
+        let m = ioobserve::metrics();
+        LlmMetrics {
+            calls: m.counter("llm.calls"),
+            input_tokens: m.counter("llm.input_tokens"),
+            output_tokens: m.counter("llm.output_tokens"),
+            cost_usd: m.float_counter("llm.cost_usd"),
+            call_ns: m.histogram("llm.call_ns"),
+            attempts: m.histogram("llm.attempts"),
+        }
+    })
+}
 
 /// A completion request.
 #[derive(Debug, Clone, Default)]
@@ -268,9 +299,7 @@ impl LanguageModel for SimLlm {
             let req = retry.as_ref().unwrap_or(request);
             match self.try_complete(req) {
                 Ok(completion) => {
-                    ioobserve::metrics()
-                        .histogram("llm.attempts")
-                        .record(attempts);
+                    llm_metrics().attempts.record(attempts);
                     return completion;
                 }
                 Err(LlmError::Cancelled) => {
@@ -301,7 +330,16 @@ impl LanguageModel for SimLlm {
     /// whether or not faults forced retries or hedges along the way.
     fn try_complete(&self, request: &CompletionRequest) -> Result<Completion, LlmError> {
         let call_start = std::time::Instant::now();
-        let mut span = ioobserve::tracer().span_fine("llm.call");
+        // An `llm.call` span attributes what the failure model adds to an
+        // attempt: latency, faults, cancellation, the attempt lane. Without
+        // one, a call is local deterministic CPU, timed by the caller's
+        // stage span and counted by the `llm.*` metrics, so it opens no
+        // span (the reflection fan-out makes ~15 such calls a fragment).
+        let mut span = if self.plan.is_empty() {
+            ioobserve::Tracer::disabled().span_fine("llm.call")
+        } else {
+            ioobserve::tracer().span_fine("llm.call")
+        };
         span.set_attr("model", self.profile.name);
         if request.attempt != 0 {
             span.set_attr("attempt", request.attempt);
@@ -347,15 +385,12 @@ impl LanguageModel for SimLlm {
         span.set_attr("input_tokens", completion.input_tokens);
         span.set_attr("output_tokens", completion.output_tokens);
         drop(span);
-        let m = ioobserve::metrics();
-        m.counter("llm.calls").inc();
-        m.counter("llm.input_tokens")
-            .add(completion.input_tokens as u64);
-        m.counter("llm.output_tokens")
-            .add(completion.output_tokens as u64);
-        m.float_counter("llm.cost_usd").add(completion.cost_usd);
-        m.histogram("llm.call_ns")
-            .record_duration(call_start.elapsed());
+        let m = llm_metrics();
+        m.calls.inc();
+        m.input_tokens.add(completion.input_tokens as u64);
+        m.output_tokens.add(completion.output_tokens as u64);
+        m.cost_usd.add(completion.cost_usd);
+        m.call_ns.record_duration(call_start.elapsed());
         Ok(completion)
     }
 }

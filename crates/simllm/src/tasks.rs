@@ -10,23 +10,25 @@ use crate::evidence::{keys as K, Evidence};
 use crate::iokb;
 use crate::profile::ModelProfile;
 use crate::quality;
+use crate::reference;
 use crate::rng::noise;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use tracebench::IssueLabel;
 
-/// A parsed prompt section: header line remainder plus body lines.
+/// A parsed prompt section: header line remainder plus body lines, both
+/// borrowed from the attended prompt.
 #[derive(Debug, Clone)]
-pub struct Section {
+pub struct Section<'a> {
     /// Header text after `## ` (e.g. `SUMMARY 1 I/O Size`).
-    pub header: String,
+    pub header: &'a str,
     /// Body lines until the next section.
-    pub body: Vec<String>,
+    pub body: Vec<&'a str>,
 }
 
 /// Parse the task name (`### TASK: x`) from attended lines.
-pub fn parse_task(lines: &[String]) -> Option<String> {
+pub fn parse_task(lines: &[&str]) -> Option<String> {
     lines.iter().find_map(|l| {
         l.trim()
             .strip_prefix("### TASK:")
@@ -35,26 +37,37 @@ pub fn parse_task(lines: &[String]) -> Option<String> {
 }
 
 /// Split attended lines into sections.
-pub fn parse_sections(lines: &[String]) -> Vec<Section> {
-    let mut out: Vec<Section> = Vec::new();
+pub fn parse_sections<'a>(lines: &[&'a str]) -> Vec<Section<'a>> {
+    let mut out: Vec<Section<'a>> = Vec::new();
     for line in lines {
         let t = line.trim_end();
         if let Some(h) = t.trim_start().strip_prefix("## ") {
             out.push(Section {
-                header: h.trim().to_string(),
+                header: h.trim(),
                 body: Vec::new(),
             });
         } else if let Some(cur) = out.last_mut() {
-            cur.body.push(t.to_string());
+            cur.body.push(t);
         }
     }
     out
 }
 
-fn section<'a>(sections: &'a [Section], name: &str) -> Option<&'a Section> {
-    sections
-        .iter()
-        .find(|s| s.header.to_uppercase().starts_with(&name.to_uppercase()))
+/// Whether `header` upper-cases to something starting with `name`, an
+/// upper-case ASCII section name. ASCII headers compare in place; others
+/// keep the Unicode upper-casing, which can turn a non-ASCII character
+/// into ASCII letters (`ß` → `SS`).
+fn header_is(header: &str, name: &str) -> bool {
+    if header.is_ascii() {
+        header.len() >= name.len()
+            && header.as_bytes()[..name.len()].eq_ignore_ascii_case(name.as_bytes())
+    } else {
+        header.to_uppercase().starts_with(name)
+    }
+}
+
+fn section<'s, 'a>(sections: &'s [Section<'a>], name: &str) -> Option<&'s Section<'a>> {
+    sections.iter().find(|s| header_is(s.header, name))
 }
 
 // ---------------------------------------------------------------------------
@@ -66,12 +79,7 @@ fn section<'a>(sections: &'a [Section], name: &str) -> Option<&'a Section> {
 /// `load` is the input-tokens / context-budget ratio (clamped to [0, 1]):
 /// heavier prompts make the model both more error-prone at deriving
 /// aggregates from raw counter rows and more hallucination-prone.
-pub fn diagnose(
-    profile: &ModelProfile,
-    lines: &[String],
-    load: f64,
-    rng: &mut ChaCha8Rng,
-) -> String {
+pub fn diagnose(profile: &ModelProfile, lines: &[&str], load: f64, rng: &mut ChaCha8Rng) -> String {
     let mut ev = Evidence::from_lines(lines);
     // Aggregates the model had to compute itself from raw rows are lost with
     // a probability that grows with prompt load and shrinks with capability
@@ -212,7 +220,7 @@ fn bin_range(bin: &str) -> String {
 }
 
 /// Run the JSON→NL transformation task.
-pub fn transform(profile: &ModelProfile, lines: &[String]) -> String {
+pub fn transform(profile: &ModelProfile, lines: &[&str]) -> String {
     let sections = parse_sections(lines);
     let json_text = section(&sections, "JSON")
         .map(|s| s.body.join("\n"))
@@ -321,11 +329,11 @@ struct Point {
 /// (`merge_fidelity`), but every additional simultaneous document costs
 /// retention, and middle documents suffer extra positional loss — the
 /// effect the paper's tree-based merge is designed around (Fig. 6).
-pub fn merge(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> String {
+pub fn merge(profile: &ModelProfile, lines: &[&str], rng: &mut ChaCha8Rng) -> String {
     let sections = parse_sections(lines);
     let summaries: Vec<&Section> = sections
         .iter()
-        .filter(|s| s.header.to_uppercase().starts_with("SUMMARY"))
+        .filter(|s| header_is(s.header, "SUMMARY"))
         .collect();
     let n = summaries.len();
     let mut out = String::from("## MERGED SUMMARY\n");
@@ -384,38 +392,120 @@ fn strip_refs(line: &str) -> String {
 // filter (self-reflection relevance judgement)
 // ---------------------------------------------------------------------------
 
-/// Token-set cosine similarity between two texts.
-fn overlap(a: &str, b: &str) -> f64 {
-    use std::collections::BTreeSet;
-    let ta: BTreeSet<String> = a
-        .to_lowercase()
-        .split(|c: char| !c.is_ascii_alphanumeric())
-        .filter(|t| t.len() > 2)
-        .map(String::from)
-        .collect();
-    let tb: BTreeSet<String> = b
-        .to_lowercase()
-        .split(|c: char| !c.is_ascii_alphanumeric())
-        .filter(|t| t.len() > 2)
-        .map(String::from)
-        .collect();
-    if ta.is_empty() || tb.is_empty() {
+/// Token-set cosine similarity between two sections' bodies, as
+/// [`reference::overlap`] computes it over the bodies joined with spaces:
+/// tokens are the maximal ASCII-alphanumeric runs longer than two bytes,
+/// compared case-insensitively, and the score is the set intersection over
+/// the geometric mean of the set sizes.
+///
+/// ASCII bodies whose tokens fit in 16 bytes (every prompt the pipeline
+/// builds) are tokenised in place into a `TokenSet` — no per-token
+/// allocation. Anything else takes the reference path: Unicode
+/// lower-casing can map a non-ASCII character to an ASCII letter
+/// (U+212A KELVIN SIGN → `k`).
+pub fn overlap(a: &[&str], b: &[&str]) -> f64 {
+    let (Some(ta), Some(tb)) = (TokenSet::of(a), TokenSet::of(b)) else {
+        return reference::overlap(&a.join(" "), &b.join(" "));
+    };
+    if ta.len == 0 || tb.len == 0 {
         return 0.0;
     }
-    let inter = ta.intersection(&tb).count() as f64;
-    inter / ((ta.len() as f64).sqrt() * (tb.len() as f64).sqrt())
+    let inter = ta.common(&tb) as f64;
+    inter / ((ta.len as f64).sqrt() * (tb.len as f64).sqrt())
+}
+
+/// Byte → its lower-case form if ASCII alphanumeric, else 0 (a token
+/// boundary).
+const TOKEN_BYTE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        if c.is_ascii_alphanumeric() {
+            table[b] = c.to_ascii_lowercase();
+        }
+        b += 1;
+    }
+    table
+};
+
+/// The distinct tokens of ASCII lines, each packed, lower-cased, into one
+/// `u128` — injective for tokens of up to 16 bytes, because token bytes
+/// are alphanumeric and never zero — in an open-addressing table where
+/// zero marks an empty slot.
+struct TokenSet {
+    table: Vec<u128>,
+    len: usize,
+}
+
+impl TokenSet {
+    /// `None` when `lines` hold a non-ASCII byte or a token longer than
+    /// 16 bytes.
+    fn of(lines: &[&str]) -> Option<Self> {
+        if !lines.iter().all(|l| l.is_ascii()) {
+            return None;
+        }
+        // A token and its boundary take at least four bytes, so a table
+        // of half the byte count is never more than half full.
+        let bytes: usize = lines.iter().map(|l| l.len() + 1).sum();
+        let mut set = TokenSet {
+            table: vec![0; (bytes / 2).next_power_of_two()],
+            len: 0,
+        };
+        for line in lines {
+            let (mut key, mut start) = (0u128, 0);
+            // The trailing boundary stands for the reference's `join(" ")`.
+            for (i, &b) in line.as_bytes().iter().chain(b" ").enumerate() {
+                let c = TOKEN_BYTE[usize::from(b)];
+                if c != 0 {
+                    key = key << 8 | u128::from(c);
+                    continue;
+                }
+                match i - start {
+                    0..=2 => {}
+                    3..=16 => set.insert(key),
+                    _ => return None,
+                }
+                key = 0;
+                start = i + 1;
+            }
+        }
+        Some(set)
+    }
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    fn slot(&self, key: u128) -> usize {
+        let mask = self.table.len() - 1;
+        let hash = (key as u64 ^ (key >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut i = (hash >> 32) as usize & mask;
+        while self.table[i] != 0 && self.table[i] != key {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn insert(&mut self, key: u128) {
+        let i = self.slot(key);
+        if self.table[i] == 0 {
+            self.table[i] = key;
+            self.len += 1;
+        }
+    }
+
+    /// Size of the intersection with `other`.
+    fn common(&self, other: &Self) -> usize {
+        self.table
+            .iter()
+            .filter(|&&key| key != 0 && other.table[other.slot(key)] == key)
+            .count()
+    }
 }
 
 /// Run the relevance-filter task: is SOURCE useful for FRAGMENT?
-pub fn filter(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> String {
+pub fn filter(profile: &ModelProfile, lines: &[&str], rng: &mut ChaCha8Rng) -> String {
     let sections = parse_sections(lines);
-    let fragment = section(&sections, "FRAGMENT")
-        .map(|s| s.body.join(" "))
-        .unwrap_or_default();
-    let source = section(&sections, "SOURCE")
-        .map(|s| s.body.join(" "))
-        .unwrap_or_default();
-    let sim = overlap(&fragment, &source);
+    let body = |name| section(&sections, name).map_or(&[][..], |s| &s.body[..]);
+    let sim = overlap(body("FRAGMENT"), body("SOURCE"));
     // Weaker models judge relevance more noisily.
     let amp = 0.02 + (1.0 - profile.capability) * 0.08;
     let score = sim + noise(rng, amp);
@@ -431,10 +521,10 @@ pub fn filter(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) ->
 // ---------------------------------------------------------------------------
 
 /// Run the ranking task over `## CANDIDATE <tag>` blocks.
-pub fn rank(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> String {
+pub fn rank(profile: &ModelProfile, lines: &[&str], rng: &mut ChaCha8Rng) -> String {
     let sections = parse_sections(lines);
     let criterion = section(&sections, "CRITERION")
-        .and_then(|s| s.body.first().cloned())
+        .and_then(|s| s.body.first().copied())
         .unwrap_or_default()
         .split_whitespace()
         .next()
@@ -449,14 +539,14 @@ pub fn rank(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> S
         })
         .unwrap_or_default();
     let format_order: Vec<String> = section(&sections, "FORMAT")
-        .and_then(|s| s.body.first().cloned())
+        .and_then(|s| s.body.first().copied())
         .and_then(|l| l.split_once(':').map(|(_, v)| v.to_string()))
         .map(|v| v.split(',').map(|t| t.trim().to_string()).collect())
         .unwrap_or_default();
 
     let candidates: Vec<(&Section, String)> = sections
         .iter()
-        .filter(|s| s.header.to_uppercase().starts_with("CANDIDATE"))
+        .filter(|s| header_is(s.header, "CANDIDATE"))
         .map(|s| {
             let tag = s
                 .header
@@ -537,7 +627,7 @@ pub fn rank(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> S
 
 /// Run the chat task: answer a follow-up question using the diagnosis
 /// context and its references.
-pub fn chat(profile: &ModelProfile, lines: &[String], _rng: &mut ChaCha8Rng) -> String {
+pub fn chat(profile: &ModelProfile, lines: &[&str], _rng: &mut ChaCha8Rng) -> String {
     let sections = parse_sections(lines);
     let ev = Evidence::from_lines(lines);
     let question = section(&sections, "QUESTION")
@@ -636,8 +726,8 @@ mod tests {
     use crate::profile::profile_or_panic;
     use crate::rng::rng_for;
 
-    fn lines(s: &str) -> Vec<String> {
-        s.lines().map(String::from).collect()
+    fn lines(s: &str) -> Vec<&str> {
+        s.lines().collect()
     }
 
     #[test]
@@ -650,6 +740,17 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].header, "SUMMARY 1 Size");
         assert_eq!(s[1].body, vec!["- POINT[b] y"]);
+    }
+
+    #[test]
+    fn header_match_follows_unicode_upper_casing() {
+        assert!(header_is("source notes", "SOURCE"));
+        assert!(header_is("SOURCE", "SOURCE"));
+        assert!(!header_is("sour", "SOURCE"));
+        // `ſ` (long s) upper-cases to ASCII `S`; `ß` to `SS`.
+        assert!(header_is("\u{17F}ource", "SOURCE"));
+        assert!(!header_is("\u{DF}UMMARY", "SUMMARY"));
+        assert!(header_is("\u{DF}", "SS"));
     }
 
     #[test]

@@ -95,6 +95,7 @@ fn tracing_is_invisible_to_diagnoses_and_attributes_job_time() {
         "stage.fragments",
         "stage.fragment",
         "stage.retrieve",
+        "stage.reflect",
         "stage.llm",
         "stage.merge",
         "stage.render",
@@ -103,6 +104,21 @@ fn tracing_is_invisible_to_diagnoses_and_attributes_job_time() {
             stage_names.contains(&expected),
             "missing {expected} in {stage_names:?}"
         );
+    }
+
+    // Reflection is its own stage under retrieval, carrying how many hits
+    // it judged and how many sources survived.
+    let reflects: Vec<_> = records
+        .iter()
+        .filter(|r| r.name == "stage.reflect")
+        .collect();
+    assert!(!reflects.is_empty());
+    for r in reflects {
+        let parent = records.iter().find(|p| p.id == r.parent);
+        assert_eq!(parent.map(|p| p.name.as_str()), Some("stage.retrieve"));
+        let attr = |k| r.attr(k).and_then(|v| v.parse::<usize>().ok());
+        let (retrieved, kept) = (attr("retrieved").unwrap(), attr("kept").unwrap());
+        assert!(kept <= retrieved && retrieved > 0, "{kept} of {retrieved}");
     }
 
     // Report sanity: rows are internally consistent and shares are sane.
