@@ -24,9 +24,9 @@
 //! same-run speedup also collapsed. `--test` runs one iteration per arm
 //! as a smoke test and skips the JSON write and the gate.
 
+use ioagent_bench::measure::{self, at_width, bits, recall_at_k, Bench};
 use ioagent_bench::synth;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 use vecindex::SearchHit;
 
 const TARGET_CHUNKS: usize = 10_000;
@@ -41,75 +41,9 @@ const DEFAULT_NPROBE: usize = CLUSTERS / 8;
 const MIN_SPEEDUP: f64 = 3.0;
 const MIN_RECALL: f64 = 0.95;
 
-fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(width)
-        .build()
-        .unwrap()
-        .install(f)
-}
-
-/// Median-of-samples timing (1 warm-up call), returning (median, min).
-fn time<R>(samples: usize, mut f: impl FnMut() -> R) -> (Duration, Duration) {
-    black_box(f());
-    let mut times: Vec<Duration> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    (times[times.len() / 2], times[0])
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-fn bits(batch: &[Vec<SearchHit>]) -> Vec<Vec<(u32, usize)>> {
-    batch
-        .iter()
-        .map(|hits| {
-            hits.iter()
-                .map(|h| (h.score.to_bits(), h.entry_idx))
-                .collect()
-        })
-        .collect()
-}
-
-/// Mean recall@k of `approx` against the exact per-query top-k sets.
-fn recall_at_k(exact: &[Vec<SearchHit>], approx: &[Vec<SearchHit>]) -> f64 {
-    assert_eq!(exact.len(), approx.len());
-    let mut total = 0.0f64;
-    for (e, a) in exact.iter().zip(approx) {
-        if e.is_empty() {
-            total += 1.0;
-            continue;
-        }
-        let found = e
-            .iter()
-            .filter(|h| a.iter().any(|x| x.entry_idx == h.entry_idx))
-            .count();
-        total += found as f64 / e.len() as f64;
-    }
-    total / exact.len().max(1) as f64
-}
-
-fn repo_root_bench_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_batch.json")
-}
-
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let samples = |full: usize| if test_mode { 1 } else { full };
-
-    // Read the committed baseline *before* overwriting it.
-    let baseline: Option<serde_json::Value> = std::fs::read_to_string(repo_root_bench_path())
-        .ok()
-        .and_then(|raw| serde_json::from_str(&raw).ok());
-    let baseline_field =
-        |name: &str| -> Option<f64> { baseline.as_ref()?.get(name).and_then(|x| x.as_f64()) };
+    let bench = Bench::open("BENCH_batch.json");
+    let rounds = measure::rounds(10);
 
     println!("building synthetic corpus ({TARGET_CHUNKS}+ chunks)…");
     let flat = synth::build_corpus(TARGET_CHUNKS);
@@ -123,14 +57,15 @@ fn main() {
     let exact: Vec<Vec<SearchHit>> = at_width(1, || {
         queries.iter().map(|q| flat.search(q, TOP_K)).collect()
     });
+    let all_bits = |batch: &[Vec<SearchHit>]| batch.iter().map(|h| bits(h)).collect::<Vec<_>>();
 
     // Correctness before speed: the query-blocked batch must be
     // byte-identical to per-query searches at both widths.
     for width in [1usize, 4] {
         let blocked = at_width(width, || flat.search_batch(&queries, TOP_K));
         assert_eq!(
-            bits(&blocked),
-            bits(&exact),
+            all_bits(&blocked),
+            all_bits(&exact),
             "query-blocked batch diverged from per-query search at width {width}"
         );
     }
@@ -140,94 +75,76 @@ fn main() {
     let mut ivf = flat.clone();
     ivf.enable_ivf(CLUSTERS, DEFAULT_NPROBE);
     assert_eq!(ivf.ivf().unwrap().clusters(), CLUSTERS);
+    let probing = [1usize, DEFAULT_NPROBE, CLUSTERS].map(|nprobe| {
+        let mut ix = ivf.clone();
+        ix.set_nprobe(nprobe);
+        ix
+    });
 
     // Exact-mode IVF (`nprobe = all`) must be byte-identical to the flat
     // scan — probing restricts which rows are scored, never their scores.
-    let mut exact_mode = ivf.clone();
-    exact_mode.set_nprobe(CLUSTERS);
-    let all_hits = at_width(1, || exact_mode.search_batch(&queries, TOP_K));
     assert_eq!(
-        bits(&all_hits),
-        bits(&exact),
+        all_bits(&at_width(1, || probing[2].search_batch(&queries, TOP_K))),
+        all_bits(&exact),
         "nprobe = all diverged from the exact flat scan"
     );
     println!("IVF exact-mode equivalence: OK (nprobe = {CLUSTERS} byte-identical)");
+    let recalls = probing
+        .each_ref()
+        .map(|ix| recall_at_k(&exact, &at_width(4, || ix.search_batch(&queries, TOP_K))));
+    assert_eq!(recalls[2], 1.0, "exact mode must recall everything");
 
-    // ---- per-query loop (the PR 4 batch path) ----------------------------
-    let (perquery_med, perquery_min) = at_width(4, || {
-        time(samples(10), || {
-            use rayon::prelude::*;
-            black_box(
-                queries
-                    .par_iter()
-                    .map(|q| flat.search(q, TOP_K))
-                    .collect::<Vec<_>>(),
-            )
-        })
+    // ---- timed arms ------------------------------------------------------
+    // The per-query loop, the query-blocked flat batch and the three
+    // IVF probe widths run interleaved at width 4; the blocked batch is
+    // timed again alone at width 1.
+    let blocked1 = at_width(1, || {
+        measure::time(rounds, || flat.search_batch(&queries, TOP_K))
     });
-    println!(
-        "bench batch/batch64_perquery_threads4: median {:.2} ms (min {:.2} ms)",
-        ms(perquery_med),
-        ms(perquery_min)
-    );
-
-    // ---- query-blocked batch, flat ---------------------------------------
-    let mut blocked_ms = [0.0f64; 2];
-    for (slot, width) in [1usize, 4].into_iter().enumerate() {
-        let (med, min) = at_width(width, || {
-            time(samples(10), || {
-                black_box(flat.search_batch(&queries, TOP_K))
-            })
-        });
-        println!(
-            "bench batch/batch64_blocked_threads{width}: median {:.2} ms (min {:.2} ms)",
-            ms(med),
-            ms(min)
-        );
-        blocked_ms[slot] = ms(med);
+    let search = |ix: &vecindex::VectorIndex| {
+        black_box(ix.search_batch(&queries, TOP_K));
+    };
+    let [perquery, blocked4, ivf1, ivf_default, ivf_all] = at_width(4, || {
+        measure::interleave(
+            rounds,
+            [
+                &mut || {
+                    use rayon::prelude::*;
+                    black_box(
+                        queries
+                            .par_iter()
+                            .map(|q| flat.search(q, TOP_K))
+                            .collect::<Vec<_>>(),
+                    );
+                },
+                &mut || search(&flat),
+                &mut || search(&probing[0]),
+                &mut || search(&probing[1]),
+                &mut || search(&probing[2]),
+            ],
+        )
+    });
+    perquery.report("batch/batch64_perquery_threads4");
+    blocked1.report("batch/batch64_blocked_threads1");
+    blocked4.report("batch/batch64_blocked_threads4");
+    for (samples, (nprobe, recall)) in [&ivf1, &ivf_default, &ivf_all]
+        .into_iter()
+        .zip([1usize, DEFAULT_NPROBE, CLUSTERS].into_iter().zip(recalls))
+    {
+        samples.report(&format!("batch/batch64_ivf_nprobe{nprobe}"));
+        println!("  recall@{TOP_K} {recall:.4}");
     }
 
-    // ---- IVF probing arms ------------------------------------------------
-    let mut ivf_ms = std::collections::BTreeMap::new();
-    let mut recalls = std::collections::BTreeMap::new();
-    for nprobe in [1usize, DEFAULT_NPROBE, CLUSTERS] {
-        let mut ix = ivf.clone();
-        ix.set_nprobe(nprobe);
-        let hits = at_width(4, || ix.search_batch(&queries, TOP_K));
-        let recall = recall_at_k(&exact, &hits);
-        let (med, min) = at_width(4, || {
-            time(samples(10), || black_box(ix.search_batch(&queries, TOP_K)))
-        });
-        println!(
-            "bench batch/batch64_ivf_nprobe{nprobe}: median {:.2} ms (min {:.2} ms) \
-             recall@{TOP_K} {recall:.4}",
-            ms(med),
-            ms(min)
-        );
-        ivf_ms.insert(nprobe, ms(med));
-        recalls.insert(nprobe, recall);
-    }
-    assert_eq!(recalls[&CLUSTERS], 1.0, "exact mode must recall everything");
-
-    let default_ms = ivf_ms[&DEFAULT_NPROBE];
-    let default_recall = recalls[&DEFAULT_NPROBE];
-    let speedup_blocked = ms(perquery_med) / blocked_ms[1].max(1e-9);
-    let speedup_default = ms(perquery_med) / default_ms.max(1e-9);
+    let ms = |s: &measure::Samples| s.median() * 1e3;
+    let default_ms = ms(&ivf_default);
+    let default_recall = recalls[1];
+    let speedup_blocked = ms(&perquery) / ms(&blocked4).max(1e-9);
+    let speedup_default = ms(&perquery) / default_ms.max(1e-9);
     println!(
-        "64-query batch speedup over the PR 4 per-query loop: blocked {speedup_blocked:.1}x, \
+        "64-query batch speedup over the per-query loop: blocked {speedup_blocked:.1}x, \
          blocked+IVF(nprobe={DEFAULT_NPROBE}) {speedup_default:.1}x"
     );
 
-    if test_mode {
-        println!("bench batch: ok (test mode, 1 iteration per arm, JSON/gate skipped)");
-        return;
-    }
-
-    // ---- BENCH_batch.json at the repo root -------------------------------
-    let generated_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
     let record = serde_json::json!({
         "bench": "batch",
         "corpus_chunks": n,
@@ -236,77 +153,36 @@ fn main() {
         "batch": BATCH,
         "ivf_clusters": CLUSTERS,
         "default_nprobe": DEFAULT_NPROBE,
-        "batch64_perquery_threads4_ms": ms(perquery_med),
-        "batch64_blocked_threads1_ms": blocked_ms[0],
-        "batch64_blocked_threads4_ms": blocked_ms[1],
-        "batch64_ivf_nprobe1_ms": ivf_ms[&1],
+        "batch64_perquery_threads4_ms": ms(&perquery),
+        "batch64_blocked_threads1_ms": ms(&blocked1),
+        "batch64_blocked_threads4_ms": ms(&blocked4),
+        "batch64_ivf_nprobe1_ms": ms(&ivf1),
         "batch64_ivf_default_ms": default_ms,
-        "batch64_ivf_all_ms": ivf_ms[&CLUSTERS],
-        "recall_nprobe1": recalls[&1],
+        "batch64_ivf_all_ms": ms(&ivf_all),
+        "recall_nprobe1": recalls[0],
         "recall_default": default_recall,
         "speedup_blocked": speedup_blocked,
         "speedup_default": speedup_default,
-        "generated_unix": generated_unix,
     });
-    let path = repo_root_bench_path();
-    std::fs::write(
-        &path,
-        format!("{}\n", serde_json::to_string(&record).unwrap()),
-    )
-    .expect("write BENCH_batch.json");
-    println!("wrote {}", path.display());
-
-    // ---- multi-metric gate -----------------------------------------------
-    if std::env::var("BENCH_GATE").is_ok() {
-        let mut failures: Vec<String> = Vec::new();
+    if let Some(mut gate) = bench.write(record) {
         // Recall and same-run speedup are machine-independent: hard gates.
-        if default_recall < MIN_RECALL {
-            failures.push(format!(
-                "recall@{TOP_K} at nprobe={DEFAULT_NPROBE} is {default_recall:.4} \
-                 (floor {MIN_RECALL})"
-            ));
-        }
-        if speedup_default < MIN_SPEEDUP {
-            failures.push(format!(
-                "batch speedup at default nprobe is {speedup_default:.1}x \
-                 (floor {MIN_SPEEDUP}x over the per-query loop)"
-            ));
-        }
-        // Throughput vs the committed baseline needs both signals — the
-        // absolute >2× check AND a collapsed same-run ratio — so a slow
-        // CI machine that inflates every arm equally cannot false-red.
-        if let (Some(base_ms), Some(base_speedup)) = (
-            baseline_field("batch64_ivf_default_ms"),
-            baseline_field("speedup_default"),
-        ) {
-            let absolute_regressed = default_ms > 2.0 * base_ms;
-            let ratio_collapsed = speedup_default < base_speedup / 2.0;
-            if absolute_regressed && ratio_collapsed {
-                failures.push(format!(
-                    "default-nprobe batch {default_ms:.1} ms is more than 2× the committed \
-                     baseline {base_ms:.1} ms AND the same-run speedup collapsed to \
-                     {speedup_default:.1}x (baseline {base_speedup:.1}x)"
-                ));
-            } else if absolute_regressed {
-                println!(
-                    "gate: {default_ms:.1} ms exceeds 2× baseline {base_ms:.1} ms but the \
-                     same-run speedup is still {speedup_default:.1}x — slow machine, not a \
-                     regression; passing"
-                );
-            }
-        } else {
-            println!("gate: no committed batch baseline found — skipping throughput comparison");
-        }
-        if failures.is_empty() {
-            println!(
-                "gate: OK (recall {default_recall:.4}, speedup {speedup_default:.1}x at \
-                 nprobe {DEFAULT_NPROBE})"
-            );
-        } else {
-            for f in &failures {
-                eprintln!("REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
+        gate.at_least(
+            &format!("recall@{TOP_K} at nprobe={DEFAULT_NPROBE}"),
+            default_recall,
+            MIN_RECALL,
+        );
+        gate.at_least(
+            "batch speedup at the default nprobe over the per-query loop",
+            speedup_default,
+            MIN_SPEEDUP,
+        );
+        gate.two_signal(
+            "default-nprobe batch (ms)",
+            default_ms,
+            bench.baseline("batch64_ivf_default_ms"),
+            speedup_default,
+            measure::ratio_floor(bench.baseline("speedup_default"), None),
+        );
+        gate.finish();
     }
 }

@@ -19,27 +19,19 @@
 //! speedup is only meaningful if the outputs agree. A `speedup` summary is
 //! printed after the samples.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ioagent_bench::measure::{self, at_width};
 use ioagent_core::rag::Retriever;
 use ioagent_core::{AgentConfig, IoAgent};
 use simllm::SimLlm;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tracebench::TraceBench;
 
 /// Simulated per-completion remote-LLM round trip for the diagnosis arm.
 const CALL_LATENCY: Duration = Duration::from_millis(10);
-const WIDTHS: [usize; 2] = [1, 4];
 
-fn pool(width: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(width)
-        .build()
-        .expect("build shim pool")
-}
-
-fn bench_intra_trace(c: &mut Criterion) {
+fn main() {
     let suite = TraceBench::generate();
     let entry = suite
         .entries
@@ -50,7 +42,7 @@ fn bench_intra_trace(c: &mut Criterion) {
     let retriever = Arc::new(Retriever::build());
 
     let diagnose = |width: usize| {
-        pool(width).install(|| {
+        at_width(width, || {
             let model = SimLlm::new("gpt-4o").with_latency(CALL_LATENCY);
             let agent = IoAgent::with_shared_retriever(
                 &model,
@@ -87,52 +79,39 @@ fn bench_intra_trace(c: &mut Criterion) {
         );
     }
 
-    let mut group = c.benchmark_group("intra_trace");
-    group.sample_size(5);
-    let mut summary: Vec<(String, Duration)> = Vec::new();
-
-    for width in WIDTHS {
-        let label = format!("diagnose_{width}thread");
-        group.bench_with_input(BenchmarkId::new("fragments", &label), &width, |b, &w| {
-            b.iter(|| black_box(diagnose(w)));
-        });
-        let start = Instant::now();
-        black_box(diagnose(width));
-        summary.push((label, start.elapsed()));
-    }
-
-    for width in WIDTHS {
-        let label = format!("search_{width}thread");
-        group.bench_with_input(BenchmarkId::new("batch_search", &label), &width, |b, &w| {
-            b.iter(|| pool(w).install(|| black_box(index.search_batch(&queries, 15))));
-        });
-        let start = Instant::now();
-        black_box(pool(width).install(|| index.search_batch(&queries, 15)));
-        summary.push((label, start.elapsed()));
-    }
-    group.finish();
+    // Each pair of widths runs interleaved.
+    let rounds = measure::rounds(5);
+    let diagnose_at = |width| move || drop(black_box(diagnose(width)));
+    let [diagnose1, diagnose4] =
+        measure::interleave(rounds, [&mut diagnose_at(1), &mut diagnose_at(4)]);
+    let (index, queries) = (&index, &queries);
+    let search_at = |width| {
+        move || {
+            drop(black_box(at_width(width, || {
+                index.search_batch(queries, 15)
+            })))
+        }
+    };
+    let [search1, search4] = measure::interleave(rounds, [&mut search_at(1), &mut search_at(4)]);
 
     println!(
-        "\nintra-trace scaling summary ({n_fragments} fragments, {} queries):",
+        "\nintra-trace scaling summary ({n_fragments} fragments, {} queries, median):",
         queries.len()
     );
-    for (label, t) in &summary {
-        println!("  {label:20} {t:>12.3?}");
+    for (label, t) in [
+        ("diagnose_1thread", &diagnose1),
+        ("diagnose_4thread", &diagnose4),
+        ("search_1thread", &search1),
+        ("search_4thread", &search4),
+    ] {
+        println!("  {label:20} {:>10.3} ms", t.median() * 1e3);
     }
-    let find = |l: &str| summary.iter().find(|(s, _)| s == l).map(|(_, t)| *t);
-    if let (Some(one), Some(four)) = (find("diagnose_1thread"), find("diagnose_4thread")) {
-        println!(
-            "  fragment-diagnosis speedup: {:.2}x (4 threads vs 1, {CALL_LATENCY:?}/call)",
-            one.as_secs_f64() / four.as_secs_f64()
-        );
-    }
-    if let (Some(one), Some(four)) = (find("search_1thread"), find("search_4thread")) {
-        println!(
-            "  batch-search speedup: {:.2}x (4 threads vs 1, compute-bound)",
-            one.as_secs_f64() / four.as_secs_f64()
-        );
-    }
+    println!(
+        "  fragment-diagnosis speedup: {:.2}x (4 threads vs 1, {CALL_LATENCY:?}/call)",
+        diagnose1.median() / diagnose4.median()
+    );
+    println!(
+        "  batch-search speedup: {:.2}x (4 threads vs 1, compute-bound)",
+        search1.median() / search4.median()
+    );
 }
-
-criterion_group!(benches, bench_intra_trace);
-criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! overhead" versus a single flat merge — this quantifies it, alongside
 //! the retention the overhead buys.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ioagent_bench::measure;
 use ioagent_core::merge::merge_blocks;
 use ioagent_core::{MergeStrategy, SummaryBlock};
 use simllm::SimLlm;
@@ -22,21 +22,20 @@ fn blocks(n: usize) -> Vec<SummaryBlock> {
         .collect()
 }
 
-fn bench_merge(c: &mut Criterion) {
+fn main() {
     let model = SimLlm::new("gpt-4o");
-    let mut group = c.benchmark_group("merge");
-    group.sample_size(20);
     for n in [4usize, 8, 13, 18] {
-        let input = blocks(n);
-        group.bench_with_input(BenchmarkId::new("tree", n), &input, |b, input| {
-            b.iter(|| black_box(merge_blocks(&model, input.clone(), MergeStrategy::Tree)))
-        });
-        group.bench_with_input(BenchmarkId::new("flat", n), &input, |b, input| {
-            b.iter(|| black_box(merge_blocks(&model, input.clone(), MergeStrategy::Flat)))
-        });
+        let (model, input) = (&model, &blocks(n));
+        let merge =
+            |strategy| move || drop(black_box(merge_blocks(model, input.clone(), strategy)));
+        let [tree, flat] = measure::interleave(
+            measure::rounds(20),
+            [
+                &mut merge(MergeStrategy::Tree),
+                &mut merge(MergeStrategy::Flat),
+            ],
+        );
+        tree.report(&format!("merge/tree/{n}"));
+        flat.report(&format!("merge/flat/{n}"));
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_merge);
-criterion_main!(benches);

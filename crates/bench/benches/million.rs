@@ -32,9 +32,9 @@
 //! reduced corpus with one iteration per arm and skips the JSON write and
 //! the gate.
 
+use ioagent_bench::measure::{self, bits, recall_at_k, Bench};
 use ioagent_bench::synth;
-use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vecindex::{reference, SearchHit, VectorIndex};
 
 /// Corpus size of the committed run (`BENCH_MILLION_CHUNKS` overrides).
@@ -57,76 +57,22 @@ const MIN_RECALL: f64 = 0.95;
 const MIN_SPEEDUP: f64 = 2.0;
 const MAX_MEMORY_RATIO: f64 = 1.1;
 
-/// Median-of-samples timing (1 warm-up call), returning (median, min).
-fn time<R>(samples: usize, mut f: impl FnMut() -> R) -> (Duration, Duration) {
-    black_box(f());
-    let mut times: Vec<Duration> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    (times[times.len() / 2], times[0])
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-fn bits(hits: &[SearchHit]) -> Vec<(u32, usize)> {
-    hits.iter()
-        .map(|h| (h.score.to_bits(), h.entry_idx))
-        .collect()
-}
-
-/// Mean recall@k of `approx` against the exact per-query top-k sets.
-fn recall_at_k(exact: &[Vec<SearchHit>], approx: &[Vec<SearchHit>]) -> f64 {
-    assert_eq!(exact.len(), approx.len());
-    let mut total = 0.0f64;
-    for (e, a) in exact.iter().zip(approx) {
-        if e.is_empty() {
-            total += 1.0;
-            continue;
-        }
-        let found = e
-            .iter()
-            .filter(|h| a.iter().any(|x| x.entry_idx == h.entry_idx))
-            .count();
-        total += found as f64 / e.len() as f64;
-    }
-    total / exact.len().max(1) as f64
-}
-
 fn search_all(ix: &VectorIndex, queries: &[String]) -> Vec<Vec<SearchHit>> {
     queries.iter().map(|q| ix.search(q, TOP_K)).collect()
 }
 
-fn repo_root_bench_path() -> std::path::PathBuf {
-    let name =
-        std::env::var("BENCH_MILLION_OUT").unwrap_or_else(|_| "BENCH_million.json".to_string());
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"))
-}
-
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let samples = |full: usize| if test_mode { 1 } else { full };
+    let bench = Bench::open(
+        &std::env::var("BENCH_MILLION_OUT").unwrap_or_else(|_| "BENCH_million.json".into()),
+    );
     let chunks = std::env::var("BENCH_MILLION_CHUNKS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(if test_mode {
+        .unwrap_or(if measure::test_mode() {
             TEST_CHUNKS
         } else {
             DEFAULT_CHUNKS
         });
-
-    // Read the committed baseline *before* overwriting it.
-    let baseline: Option<serde_json::Value> = std::fs::read_to_string(repo_root_bench_path())
-        .ok()
-        .and_then(|raw| serde_json::from_str(&raw).ok());
-    let baseline_field =
-        |name: &str| -> Option<f64> { baseline.as_ref()?.get(name).and_then(|x| x.as_f64()) };
 
     println!("building million-scale corpus ({chunks} chunks × {DIM} lanes)…");
     let build_start = Instant::now();
@@ -153,10 +99,10 @@ fn main() {
     println!("reference equivalence: OK ({REFERENCE_SPOT_CHECKS} spot-check queries)");
 
     // ---- flat full-scan arm (context) ------------------------------------
-    let (flat_med, _) = time(samples(3), || black_box(search_all(&flat, &queries)));
+    let flat_scan = measure::time(measure::rounds(3), || search_all(&flat, &queries));
     println!(
         "bench million/flat_full_scan: median {:.2} ms/query",
-        ms(flat_med) / QUERIES as f64
+        flat_scan.median() * 1e3 / QUERIES as f64
     );
 
     println!("clustering: {CLUSTERS} coarse centroids (deterministic seeded k-means)…");
@@ -220,48 +166,40 @@ fn main() {
     println!("SQ8 exact-mode equivalence: OK (nprobe = {clusters}, full pool)");
 
     // ---- timed arms ------------------------------------------------------
-    let (f32_med, f32_min) = time(samples(5), || black_box(search_all(&ivf_ix, &queries)));
+    let mut sq8_ix = ivf_ix.clone();
+    sq8_ix.enable_sq8(RERANK_POOL);
+    let sq8_hits = search_all(&sq8_ix, &queries);
+    let queries = &queries;
+    let scan = |ix| move || drop(search_all(ix, queries));
+    let [f32_probe, sq8] =
+        measure::interleave(measure::rounds(5), [&mut scan(&ivf_ix), &mut scan(&sq8_ix)]);
+    let per_query = |secs: f64| secs * 1e3 / QUERIES as f64;
     let recall_f32 = recall_at_k(&exact, &f32_hits);
     println!(
         "bench million/f32_probe_nprobe{NPROBE}: median {:.3} ms/query (min {:.3}) \
          recall@{TOP_K} {recall_f32:.4}",
-        ms(f32_med) / QUERIES as f64,
-        ms(f32_min) / QUERIES as f64
+        per_query(f32_probe.median()),
+        per_query(f32_probe.min())
     );
-
-    let mut sq8_ix = ivf_ix.clone();
-    sq8_ix.enable_sq8(RERANK_POOL);
-    let sq8_hits = search_all(&sq8_ix, &queries);
-    let (sq8_med, sq8_min) = time(samples(5), || black_box(search_all(&sq8_ix, &queries)));
     let recall_sq8 = recall_at_k(&exact, &sq8_hits);
     let sq8_code_bytes = sq8_ix.sq8().unwrap().code_bytes();
     println!(
         "bench million/sq8_pool{RERANK_POOL}_nprobe{NPROBE}: median {:.3} ms/query \
          (min {:.3}) recall@{TOP_K} {recall_sq8:.4}, codes {:.1} MiB",
-        ms(sq8_med) / QUERIES as f64,
-        ms(sq8_min) / QUERIES as f64,
+        per_query(sq8.median()),
+        per_query(sq8.min()),
         sq8_code_bytes as f64 / (1024.0 * 1024.0)
     );
 
-    let speedup_sq8 = ms(f32_med) / ms(sq8_med).max(1e-9);
-    let flat_per_query = ms(flat_med) / QUERIES as f64;
-    let f32_per_query = ms(f32_med) / QUERIES as f64;
-    let sq8_per_query = ms(sq8_med) / QUERIES as f64;
+    let speedup_sq8 = f32_probe.median() * 1e3 / (sq8.median() * 1e3).max(1e-9);
+    let flat_per_query = per_query(flat_scan.median());
+    let f32_per_query = per_query(f32_probe.median());
+    let sq8_per_query = per_query(sq8.median());
     println!(
         "per-query: flat {flat_per_query:.3} ms → f32 probe {f32_per_query:.3} ms → \
          SQ8+rerank {sq8_per_query:.3} ms ({speedup_sq8:.1}x over the f32 probe path)"
     );
 
-    if test_mode {
-        println!("bench million: ok (test mode, {chunks} chunks, JSON/gate skipped)");
-        return;
-    }
-
-    // ---- BENCH_million.json at the repo root -----------------------------
-    let generated_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
     let record = serde_json::json!({
         "bench": "million",
         "corpus_chunks": n,
@@ -279,67 +217,26 @@ fn main() {
         "recall_sq8": recall_sq8,
         "vector_memory_ratio": memory_ratio,
         "sq8_code_bytes": sq8_code_bytes,
-        "generated_unix": generated_unix,
     });
-    let path = repo_root_bench_path();
-    std::fs::write(
-        &path,
-        format!("{}\n", serde_json::to_string(&record).unwrap()),
-    )
-    .expect("write BENCH_million.json");
-    println!("wrote {}", path.display());
-
-    // ---- multi-metric gate -----------------------------------------------
-    if std::env::var("BENCH_GATE").is_ok() {
-        let mut failures: Vec<String> = Vec::new();
+    if let Some(mut gate) = bench.write(record) {
         // Recall and same-run speedup are machine-independent: hard gates.
-        if recall_sq8 < MIN_RECALL {
-            failures.push(format!(
-                "SQ8 recall@{TOP_K} at nprobe={NPROBE} is {recall_sq8:.4} (floor {MIN_RECALL})"
-            ));
-        }
-        if speedup_sq8 < MIN_SPEEDUP {
-            failures.push(format!(
-                "SQ8 speedup over the f32 probe path is {speedup_sq8:.1}x \
-                 (floor {MIN_SPEEDUP}x)"
-            ));
-        }
-        // Per-query latency vs the committed baseline needs both signals —
-        // the absolute >2× check AND a collapsed same-run ratio — so a
-        // slow CI machine that inflates every arm equally cannot
-        // false-red.
-        if let (Some(base_ms), Some(base_speedup)) = (
-            baseline_field("sq8_ms_per_query"),
-            baseline_field("speedup_sq8"),
-        ) {
-            let absolute_regressed = sq8_per_query > 2.0 * base_ms;
-            let ratio_collapsed = speedup_sq8 < base_speedup / 2.0;
-            if absolute_regressed && ratio_collapsed {
-                failures.push(format!(
-                    "SQ8 per-query latency {sq8_per_query:.3} ms is more than 2× the \
-                     committed baseline {base_ms:.3} ms AND the same-run speedup collapsed \
-                     to {speedup_sq8:.1}x (baseline {base_speedup:.1}x)"
-                ));
-            } else if absolute_regressed {
-                println!(
-                    "gate: {sq8_per_query:.3} ms/query exceeds 2× baseline {base_ms:.3} ms \
-                     but the same-run speedup is still {speedup_sq8:.1}x — slow machine, \
-                     not a regression; passing"
-                );
-            }
-        } else {
-            println!("gate: no committed million baseline found — skipping latency comparison");
-        }
-        if failures.is_empty() {
-            println!(
-                "gate: OK (recall {recall_sq8:.4}, speedup {speedup_sq8:.1}x, memory \
-                 {memory_ratio:.3}x)"
-            );
-        } else {
-            for f in &failures {
-                eprintln!("REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
+        gate.at_least(
+            &format!("SQ8 recall@{TOP_K} at nprobe={NPROBE}"),
+            recall_sq8,
+            MIN_RECALL,
+        );
+        gate.at_least(
+            "SQ8 speedup over the f32 probe path",
+            speedup_sq8,
+            MIN_SPEEDUP,
+        );
+        gate.two_signal(
+            "SQ8 per-query latency (ms)",
+            sq8_per_query,
+            bench.baseline("sq8_ms_per_query"),
+            speedup_sq8,
+            measure::ratio_floor(bench.baseline("speedup_sq8"), None),
+        );
+        gate.finish();
     }
 }

@@ -12,14 +12,13 @@
 //!   from nothing. Both run over one shared pre-built index so the arm
 //!   isolates result persistence from index persistence.
 //!
-//! A summary with speedups is printed after the samples.
+//! Each arm's two sides run interleaved; a summary of medians with
+//! speedups is printed after the samples.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use ioagent_bench::measure::{self, Samples};
 use ioagentd::{DiagnosisService, JobRequest, Retriever, ServiceConfig};
-use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use tracebench::TraceBench;
 
 const N_JOBS: usize = 16;
@@ -50,105 +49,65 @@ fn workload(suite: &TraceBench) -> Vec<JobRequest> {
         .collect()
 }
 
-fn bench_persistence(c: &mut Criterion) {
+fn main() {
     let suite = TraceBench::generate();
     let jobs = workload(&suite);
     let corpus_hash = knowledge::corpus_hash();
     let spec = Retriever::index_spec();
+    let rounds = measure::rounds(10);
 
     // ---- Arm 1: cold index build vs snapshot load ------------------------
     let tmp = TempDir::new("index");
     let snapshot_path = tmp.0.join(iostore::INDEX_FILE);
     let built = Retriever::build();
     iostore::save_index(&snapshot_path, built.index(), corpus_hash).unwrap();
-
-    let mut group = c.benchmark_group("persistence");
-    group.sample_size(10);
-    group.bench_function("index_cold_build", |b| {
-        b.iter(|| black_box(Retriever::build().len()));
-    });
-    group.bench_function("index_snapshot_load", |b| {
-        b.iter(|| black_box(iostore::load_index(&snapshot_path, &spec).unwrap().len()));
-    });
+    let [cold_index, warm_index] = measure::interleave(
+        rounds,
+        [&mut || drop(Retriever::build()), &mut || {
+            drop(iostore::load_index(&snapshot_path, &spec).unwrap())
+        }],
+    );
 
     // ---- Arm 2: cold batch vs journal-warm restart -----------------------
     // Warm a state dir once, then repeatedly "restart": a brand-new
     // service over the warm journal, answering the batch from disk.
     let state = TempDir::new("restart");
     let index = Arc::new(built);
-    {
-        let warmup = DiagnosisService::with_shared_index(
-            ServiceConfig::with_workers(2).state_dir(&state.0),
-            Arc::clone(&index),
-        );
-        warmup.run_batch(jobs.clone()).unwrap();
-        warmup.shutdown();
-    }
-    group.bench_function("restart_cold_batch16", |b| {
-        b.iter(|| {
-            let service = DiagnosisService::with_shared_index(
-                ServiceConfig::with_workers(2),
-                Arc::clone(&index),
-            );
-            let out = black_box(service.run_batch(jobs.clone()).unwrap());
-            service.shutdown();
-            out.len()
-        });
-    });
-    group.bench_function("restart_warm_batch16", |b| {
-        b.iter(|| {
-            let service = DiagnosisService::with_shared_index(
-                ServiceConfig::with_workers(2).state_dir(&state.0),
-                Arc::clone(&index),
-            );
-            let out = black_box(service.run_batch(jobs.clone()).unwrap());
-            assert!(
-                out.iter().all(|r| r.cached),
-                "warm restart must hit the journal"
-            );
-            service.shutdown();
-            out.len()
-        });
-    });
-    group.finish();
+    let batch = |config: ServiceConfig| {
+        let service = DiagnosisService::with_shared_index(config, Arc::clone(&index));
+        let out = service.run_batch(jobs.clone()).unwrap();
+        service.shutdown();
+        out
+    };
+    batch(ServiceConfig::with_workers(2).state_dir(&state.0));
+    let [cold_batch, warm_batch] = measure::interleave(
+        rounds,
+        [
+            &mut || drop(batch(ServiceConfig::with_workers(2))),
+            &mut || {
+                let out = batch(ServiceConfig::with_workers(2).state_dir(&state.0));
+                assert!(
+                    out.iter().all(|r| r.cached),
+                    "warm restart must hit the journal"
+                );
+            },
+        ],
+    );
 
     // ---- Summary ---------------------------------------------------------
-    let timed = |f: &mut dyn FnMut() -> usize| {
-        let start = Instant::now();
-        black_box(f());
-        start.elapsed()
-    };
-    let cold_index = timed(&mut || Retriever::build().len());
-    let warm_index = timed(&mut || iostore::load_index(&snapshot_path, &spec).unwrap().len());
-    let cold_batch = timed(&mut || {
-        let s =
-            DiagnosisService::with_shared_index(ServiceConfig::with_workers(2), Arc::clone(&index));
-        let n = s.run_batch(jobs.clone()).unwrap().len();
-        s.shutdown();
-        n
-    });
-    let warm_batch = timed(&mut || {
-        let s = DiagnosisService::with_shared_index(
-            ServiceConfig::with_workers(2).state_dir(&state.0),
-            Arc::clone(&index),
-        );
-        let n = s.run_batch(jobs.clone()).unwrap().len();
-        s.shutdown();
-        n
-    });
-    let ratio = |cold: Duration, warm: Duration| cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
-    println!("\npersistence summary:");
-    println!("  index  cold build     {cold_index:>12.3?}");
+    let ms = |s: &Samples| s.median() * 1e3;
+    let ratio = |cold: &Samples, warm: &Samples| cold.median() / warm.median().max(1e-9);
+    println!("\npersistence summary (median):");
+    println!("  index  cold build     {:>10.3} ms", ms(&cold_index));
     println!(
-        "  index  snapshot load  {warm_index:>12.3?}  ({:.1}x faster)",
-        ratio(cold_index, warm_index)
+        "  index  snapshot load  {:>10.3} ms  ({:.1}x faster)",
+        ms(&warm_index),
+        ratio(&cold_index, &warm_index)
     );
-    println!("  batch16 cold          {cold_batch:>12.3?}");
+    println!("  batch16 cold          {:>10.3} ms", ms(&cold_batch));
     println!(
-        "  batch16 warm restart  {warm_batch:>12.3?}  ({:.1}x faster)",
-        ratio(cold_batch, warm_batch)
+        "  batch16 warm restart  {:>10.3} ms  ({:.1}x faster)",
+        ms(&warm_batch),
+        ratio(&cold_batch, &warm_batch)
     );
 }
-
-criterion_group!(benches, bench_persistence);
-criterion_main!(benches);

@@ -3,106 +3,72 @@
 //! and the judge's per-sample ranking cost (Table IV's harness).
 
 use baselines::{Drishti, Ion};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ioagent_bench::measure;
 use ioagent_core::IoAgent;
 use judge::Judge;
 use simllm::SimLlm;
 use std::hint::black_box;
 use tracebench::TraceBench;
 
-fn bench_tools(c: &mut Criterion) {
+fn main() {
+    let rounds = measure::rounds(10);
     let suite = TraceBench::generate();
-    let small = suite.get("sb01_small_io").unwrap();
-    let large = suite.get("io500_mdtest_hard_1").unwrap(); // ~40k raw lines
 
-    let mut group = c.benchmark_group("diagnose");
-    group.sample_size(10);
-    for (name, entry) in [("small_trace", small), ("large_trace", large)] {
-        group.bench_with_input(BenchmarkId::new("drishti", name), entry, |b, e| {
-            b.iter(|| black_box(Drishti.diagnose(&e.trace)))
-        });
-        group.bench_with_input(BenchmarkId::new("ion_gpt4o", name), entry, |b, e| {
-            let model = SimLlm::new("gpt-4o");
-            let ion = Ion::new(&model);
-            b.iter(|| black_box(ion.diagnose(&e.trace)))
-        });
-        group.bench_with_input(BenchmarkId::new("ioagent_gpt4o", name), entry, |b, e| {
-            let model = SimLlm::new("gpt-4o");
-            let agent = IoAgent::new(&model);
-            b.iter(|| black_box(agent.diagnose(&e.trace)))
-        });
-        group.bench_with_input(BenchmarkId::new("ioagent_llama31", name), entry, |b, e| {
-            let model = SimLlm::new("llama-3.1-70b");
-            let agent = IoAgent::new(&model);
-            b.iter(|| black_box(agent.diagnose(&e.trace)))
-        });
+    // Per-trace diagnosis, the four tools interleaved on each trace.
+    let gpt4o = SimLlm::new("gpt-4o");
+    let llama = SimLlm::new("llama-3.1-70b");
+    let ion = Ion::new(&gpt4o);
+    let (agent_gpt4o, agent_llama) = (IoAgent::new(&gpt4o), IoAgent::new(&llama));
+    // sb01_small_io is one of the smallest traces; io500_mdtest_hard_1 has
+    // ~40k raw lines.
+    for name in ["sb01_small_io", "io500_mdtest_hard_1"] {
+        let trace = &suite.get(name).unwrap().trace;
+        let samples = measure::interleave(
+            rounds,
+            [
+                &mut || drop(black_box(Drishti.diagnose(trace))),
+                &mut || drop(black_box(ion.diagnose(trace))),
+                &mut || drop(black_box(agent_gpt4o.diagnose(trace))),
+                &mut || drop(black_box(agent_llama.diagnose(trace))),
+            ],
+        );
+        for (tool, s) in ["drishti", "ion_gpt4o", "ioagent_gpt4o", "ioagent_llama31"]
+            .iter()
+            .zip(&samples)
+        {
+            s.report(&format!("diagnose/{tool}/{name}"));
+        }
     }
-    group.finish();
-}
 
-fn bench_judge(c: &mut Criterion) {
-    let mut suite = TraceBench::generate();
-    suite.entries.truncate(6);
-    let runs = ioagent_bench::run_all_tools(&suite);
-    let model = SimLlm::new("gpt-4o");
-    let judge = Judge::new(&model);
+    // The judge's per-sample ranking cost (Table IV's harness).
+    let mut six = TraceBench::generate();
+    six.entries.truncate(6);
+    let runs = ioagent_bench::run_all_tools(&six);
+    let judge = Judge::new(&gpt4o);
+    let candidates: Vec<&simllm::Diagnosis> = runs.iter().map(|r| &r.diagnoses[0]).collect();
+    measure::time(rounds, || {
+        judge.mean_ranks(&six.entries[0], judge::Criterion::Accuracy, &candidates)
+    })
+    .report("judge/rank_one_sample_4perms");
+    measure::time(rounds, || judge.evaluate(&six, &runs))
+        .report("judge/evaluate_6_traces_all_criteria");
 
-    let mut group = c.benchmark_group("judge");
-    group.sample_size(10);
-    group.bench_function("rank_one_sample_4perms", |b| {
-        let candidates: Vec<&simllm::Diagnosis> = runs.iter().map(|r| &r.diagnoses[0]).collect();
-        b.iter(|| {
-            black_box(judge.mean_ranks(&suite.entries[0], judge::Criterion::Accuracy, &candidates))
-        })
-    });
-    group.bench_function("evaluate_6_traces_all_criteria", |b| {
-        b.iter(|| black_box(judge.evaluate(&suite, &runs)))
-    });
-    group.finish();
-}
-
-fn bench_table4(c: &mut Criterion) {
     // The whole paper: TraceBench + 4 tools + judge, end to end.
-    let mut group = c.benchmark_group("table4");
-    group.sample_size(10);
-    group.bench_function("full_pipeline_40_traces", |b| {
-        b.iter(|| {
-            let suite = TraceBench::generate();
-            black_box(ioagent_bench::table4_evaluation(&suite))
-        })
-    });
-    group.finish();
-}
+    measure::time(rounds, || {
+        ioagent_bench::table4_evaluation(&TraceBench::generate())
+    })
+    .report("table4/full_pipeline_40_traces");
 
-fn bench_tracebench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tracebench");
-    group.sample_size(10);
-    group.bench_function("generate_full_suite", |b| {
-        b.iter(|| black_box(TraceBench::generate()))
-    });
-    let suite = TraceBench::generate();
-    group.bench_function("reference_detect_all", |b| {
-        b.iter(|| {
-            for e in &suite.entries {
-                black_box(tracebench::reference_detect(&e.trace));
-            }
-        })
-    });
-    group.bench_function("darshan_text_roundtrip_amrex", |b| {
-        let trace = &suite.get("ra_amrex").unwrap().trace;
-        b.iter(|| {
-            let text = darshan::write::write_text(trace);
-            black_box(darshan::parse::parse_text(&text).unwrap())
-        })
-    });
-    group.finish();
+    measure::time(rounds, TraceBench::generate).report("tracebench/generate_full_suite");
+    measure::time(rounds, || {
+        for e in &suite.entries {
+            black_box(tracebench::reference_detect(&e.trace));
+        }
+    })
+    .report("tracebench/reference_detect_all");
+    let amrex = &suite.get("ra_amrex").unwrap().trace;
+    measure::time(rounds, || {
+        darshan::parse::parse_text(&darshan::write::write_text(amrex)).unwrap()
+    })
+    .report("tracebench/darshan_text_roundtrip_amrex");
 }
-
-criterion_group!(
-    benches,
-    bench_tools,
-    bench_judge,
-    bench_table4,
-    bench_tracebench
-);
-criterion_main!(benches);

@@ -22,68 +22,21 @@
 //! passes to harness-less bench targets) runs every arm once as a smoke
 //! test and skips the JSON write and the gate.
 
+use ioagent_bench::measure::{self, at_width, bits, Bench};
 use ioagent_bench::synth;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 use vecindex::reference;
 
 const TARGET_CHUNKS: usize = 10_000;
 const TOP_K: usize = 15;
 const BATCH: usize = 64;
+/// Same-run speedup floor of the gate when the committed baseline records
+/// no speedup of its own.
+const FALLBACK_RATIO_FLOOR: f64 = 3.0;
 
 const QUERY: &str = "the value of 1.0 in the 1K to 10K bin indicates that 100% of the write \
                      operations fall within the 1 KB to 10 KB range; many frequent small \
                      write requests from 16 processes on a single stripe";
-
-fn build_corpus() -> vecindex::VectorIndex {
-    synth::build_corpus(TARGET_CHUNKS)
-}
-
-fn batch_queries() -> Vec<String> {
-    synth::batch_queries(BATCH)
-}
-
-/// Median-of-samples timing (1 warm-up call), returning (median, min).
-fn time<R>(samples: usize, mut f: impl FnMut() -> R) -> (Duration, Duration) {
-    black_box(f());
-    let mut times: Vec<Duration> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    (times[times.len() / 2], times[0])
-}
-
-fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(width)
-        .build()
-        .unwrap()
-        .install(f)
-}
-
-fn us(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e6
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-fn report(label: &str, median: Duration, min: Duration) {
-    println!(
-        "bench retrieval/{label}: median {:.2} ms (min {:.2} ms)",
-        ms(median),
-        ms(min)
-    );
-}
-
-fn repo_root_bench_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_retrieval.json")
-}
 
 /// The seed-era `Embedder::embed`: a fresh `HashMap` per call keyed over
 /// per-token `String`s (via `tokenize`). Kept here as the baseline the
@@ -124,163 +77,103 @@ fn seed_era_embed(e: &ioembed::Embedder, text: &str) -> Vec<f32> {
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let samples = |full: usize| if test_mode { 1 } else { full };
-
-    // Read the committed baseline *before* overwriting it.
-    let baseline: Option<serde_json::Value> = std::fs::read_to_string(repo_root_bench_path())
-        .ok()
-        .and_then(|raw| serde_json::from_str(&raw).ok());
-    let baseline_field =
-        |name: &str| -> Option<f64> { baseline.as_ref()?.get(name).and_then(|x| x.as_f64()) };
-    let baseline_single_us = baseline_field("single_search_engine_us");
-    let baseline_speedup = baseline_field("single_search_speedup");
+    let bench = Bench::open("BENCH_retrieval.json");
+    let rounds = measure::rounds;
 
     println!("building synthetic corpus ({TARGET_CHUNKS}+ chunks)…");
-    let ix = build_corpus();
+    let ix = synth::build_corpus(TARGET_CHUNKS);
     let n = ix.len();
     let dim = ix.embedder().dim;
     println!("corpus ready: {n} chunks × {dim} lanes");
 
     // Correctness first: the engine must be byte-identical to the old
     // path on this corpus before its speed means anything.
-    let engine_hits: Vec<(u32, usize)> = at_width(1, || ix.search(QUERY, TOP_K))
-        .iter()
-        .map(|h| (h.score.to_bits(), h.entry_idx))
-        .collect();
-    let reference_hits: Vec<(u32, usize)> = reference::search(&ix, QUERY, TOP_K)
-        .iter()
-        .map(|h| (h.score.to_bits(), h.entry_idx))
-        .collect();
     assert_eq!(
-        engine_hits, reference_hits,
+        bits(&at_width(1, || ix.search(QUERY, TOP_K))),
+        bits(&reference::search(&ix, QUERY, TOP_K)),
         "engine and reference top-{TOP_K} diverged — refusing to benchmark a wrong answer"
     );
     println!("engine/reference equivalence: OK (top-{TOP_K} byte-identical)");
 
     // ---- cold build ------------------------------------------------------
-    let (build_med, build_min) = time(samples(5), || black_box(build_corpus().len()));
-    report("cold_build_10k", build_med, build_min);
+    let build = measure::time(rounds(5), || synth::build_corpus(TARGET_CHUNKS).len());
+    build.report("retrieval/cold_build_10k");
 
     // ---- single search: engine vs seed-era reference ---------------------
     // Width 1 isolates the algorithmic speedup (norm caching + heap top-k
     // + arena locality) from thread-level parallelism; the reference path
     // is sequential by construction.
-    let (engine_med, engine_min) = at_width(1, || {
-        time(samples(200), || black_box(ix.search(QUERY, TOP_K)))
-    });
-    report("single_search_engine", engine_med, engine_min);
-    let (ref_med, ref_min) = time(samples(30), || {
-        black_box(reference::search(&ix, QUERY, TOP_K))
-    });
-    report("single_search_reference", ref_med, ref_min);
-    let speedup = us(ref_med) / us(engine_med).max(1e-9);
+    let engine = at_width(1, || measure::time(rounds(200), || ix.search(QUERY, TOP_K)));
+    engine.report("retrieval/single_search_engine");
+    let reference = measure::time(rounds(30), || reference::search(&ix, QUERY, TOP_K));
+    reference.report("retrieval/single_search_reference");
+    let (engine_us, reference_us) = (engine.median() * 1e6, reference.median() * 1e6);
+    let speedup = reference_us / engine_us.max(1e-9);
     println!("single-query speedup over pre-PR scan: {speedup:.1}x");
 
     // ---- 64-query batch at 1 and 4 threads -------------------------------
-    let queries = batch_queries();
-    let (b1_med, b1_min) = at_width(1, || {
-        time(samples(10), || black_box(ix.search_batch(&queries, TOP_K)))
-    });
-    report("batch64_threads1", b1_med, b1_min);
-    let (b4_med, b4_min) = at_width(4, || {
-        time(samples(10), || black_box(ix.search_batch(&queries, TOP_K)))
-    });
-    report("batch64_threads4", b4_med, b4_min);
+    let queries = synth::batch_queries(BATCH);
+    let batch_at = |width| {
+        let samples = at_width(width, || {
+            measure::time(rounds(10), || ix.search_batch(&queries, TOP_K))
+        });
+        samples.report(&format!("retrieval/batch64_threads{width}"));
+        samples.median() * 1e3
+    };
+    let (b1_ms, b4_ms) = (batch_at(1), batch_at(4));
 
     // ---- embed: seed-era (HashMap + per-token Strings) vs hot path -------
     let embedder = ioembed::Embedder::default();
-    let (embed_seed_med, _) = time(samples(50), || {
-        for _ in 0..100 {
-            black_box(seed_era_embed(&embedder, QUERY));
-        }
-    });
     let mut buf = Vec::new();
-    let (embed_into_med, _) = time(samples(50), || {
-        for _ in 0..100 {
-            embedder.embed_into(QUERY, &mut buf);
-            black_box(buf.len());
-        }
-    });
+    let [embed_seed, embed_into] = measure::interleave(
+        rounds(50),
+        [
+            &mut || {
+                for _ in 0..100 {
+                    black_box(seed_era_embed(&embedder, QUERY));
+                }
+            },
+            &mut || {
+                for _ in 0..100 {
+                    embedder.embed_into(QUERY, &mut buf);
+                    black_box(buf.len());
+                }
+            },
+        ],
+    );
+    let per_call_us = |s: &measure::Samples| s.median() * 1e6 / 100.0;
+    let (seed_us, into_us) = (per_call_us(&embed_seed), per_call_us(&embed_into));
     println!(
-        "bench retrieval/embed_seed_era: {:.2} µs   embed_into (allocation-free): {:.2} µs   \
-         ({:.1}x)",
-        us(embed_seed_med) / 100.0,
-        us(embed_into_med) / 100.0,
-        us(embed_seed_med) / us(embed_into_med).max(1e-9)
+        "bench retrieval/embed_seed_era: {seed_us:.2} µs   embed_into (allocation-free): \
+         {into_us:.2} µs   ({:.1}x)",
+        seed_us / into_us.max(1e-9)
     );
 
-    if test_mode {
-        println!("bench retrieval: ok (test mode, 1 iteration per arm, JSON/gate skipped)");
-        return;
-    }
-
-    // ---- BENCH_retrieval.json at the repo root ---------------------------
-    let generated_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
     let record = serde_json::json!({
         "bench": "retrieval",
         "corpus_chunks": n,
         "dim": dim,
         "top_k": TOP_K,
-        "cold_build_ms": ms(build_med),
-        "single_search_engine_us": us(engine_med),
-        "single_search_reference_us": us(ref_med),
+        "cold_build_ms": build.median() * 1e3,
+        "single_search_engine_us": engine_us,
+        "single_search_reference_us": reference_us,
         "single_search_speedup": speedup,
-        "batch64_threads1_ms": ms(b1_med),
-        "batch64_threads4_ms": ms(b4_med),
-        "embed_seed_era_us": us(embed_seed_med) / 100.0,
-        "embed_into_us": us(embed_into_med) / 100.0,
-        "generated_unix": generated_unix,
+        "batch64_threads1_ms": b1_ms,
+        "batch64_threads4_ms": b4_ms,
+        "embed_seed_era_us": seed_us,
+        "embed_into_us": into_us,
     });
-    let path = repo_root_bench_path();
-    std::fs::write(
-        &path,
-        format!("{}\n", serde_json::to_string(&record).unwrap()),
-    )
-    .expect("write BENCH_retrieval.json");
-    println!("wrote {}", path.display());
-
-    // ---- regression gate -------------------------------------------------
-    if std::env::var("BENCH_GATE").is_ok() {
-        match baseline_single_us {
-            Some(base) => {
-                // Two signals must agree before the gate fails: the
-                // absolute >2×-of-committed-baseline check (the ISSUE-4
-                // contract) AND the same-run engine/reference ratio
-                // falling below half the baseline's recorded ratio. The
-                // ratio is machine-independent, so a slower CI runner
-                // that inflates both paths equally cannot produce a
-                // false red, while an engine-only 2× slowdown halves the
-                // ratio and trips both signals.
-                let measured = us(engine_min);
-                let absolute_regressed = measured > 2.0 * base;
-                let ratio_floor = baseline_speedup.map_or(3.0, |s| s / 2.0);
-                let ratio_collapsed = speedup < ratio_floor;
-                if absolute_regressed && ratio_collapsed {
-                    eprintln!(
-                        "REGRESSION: single-query engine search {measured:.1} µs is more than \
-                         2× the committed baseline {base:.1} µs AND the same-run speedup over \
-                         the reference scan collapsed to {speedup:.1}x (floor {ratio_floor:.1}x)"
-                    );
-                    std::process::exit(1);
-                }
-                if absolute_regressed {
-                    println!(
-                        "gate: {measured:.1} µs exceeds 2× baseline {base:.1} µs but the \
-                         same-run speedup is still {speedup:.1}x — slow machine, not a \
-                         regression; passing"
-                    );
-                } else {
-                    println!(
-                        "gate: single-query {measured:.1} µs within 2× of baseline {base:.1} µs \
-                         (speedup {speedup:.1}x) — OK"
-                    );
-                }
-            }
-            None => println!("gate: no committed baseline found — skipping comparison"),
-        }
+    if let Some(mut gate) = bench.write(record) {
+        gate.two_signal(
+            "single-query engine search min (µs)",
+            engine.min() * 1e6,
+            bench.baseline("single_search_engine_us"),
+            speedup,
+            measure::ratio_floor(
+                bench.baseline("single_search_speedup"),
+                Some(FALLBACK_RATIO_FLOOR),
+            ),
+        );
+        gate.finish();
     }
 }

@@ -31,11 +31,11 @@
 //! the run fails if either tracing mode costs more than 3% of batch wall
 //! time (with a 5 ms absolute noise floor).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ioagent_bench::measure::{self, quantile, Bench, Samples};
 use ioagentd::{DiagnosisService, JobRequest, Retriever, ServiceConfig};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tracebench::TraceBench;
 
 const N_JOBS: usize = 64;
@@ -58,40 +58,45 @@ fn workload(suite: &TraceBench) -> Vec<JobRequest> {
         .collect()
 }
 
-fn timed_batch(service: &DiagnosisService, jobs: &[JobRequest]) -> Duration {
-    let start = Instant::now();
+fn run_batch(service: &DiagnosisService, jobs: &[JobRequest]) {
     black_box(service.run_batch(jobs.to_vec()).unwrap());
-    start.elapsed()
 }
 
-fn bench_service(c: &mut Criterion) {
+fn main() {
     let suite = TraceBench::generate();
     let jobs = workload(&suite);
     let index = Arc::new(Retriever::build());
+    bench_service(&jobs, &index);
+    bench_tracing_overhead(&jobs, &index);
+}
+
+fn bench_service(jobs: &[JobRequest], index: &Arc<Retriever>) {
     let n_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .max(4);
+    let rounds = measure::rounds(5);
+    let service =
+        |config: ServiceConfig| DiagnosisService::with_shared_index(config, Arc::clone(index));
 
-    let mut group = c.benchmark_group("service");
-    group.sample_size(5);
-
-    let mut summary: Vec<(String, Duration)> = Vec::new();
+    // Each scaling arm times 1 worker and N workers interleaved.
+    let mut summary: Vec<(String, Samples)> = Vec::new();
+    let mut speedups = Vec::new();
     for (arm, rpc) in [("cpu", Duration::ZERO), ("rpc", RPC_LATENCY)] {
-        for workers in [1, n_workers] {
-            let service = DiagnosisService::with_shared_index(
+        let [one, many] = [1, n_workers].map(|workers| {
+            service(
                 ServiceConfig::with_workers(workers)
                     .cache_capacity(0)
                     .rpc_latency(rpc),
-                Arc::clone(&index),
-            );
-            let label = format!("{arm}_{workers}worker");
-            group.bench_with_input(BenchmarkId::new("batch64", &label), &jobs, |b, jobs| {
-                b.iter(|| black_box(service.run_batch(jobs.to_vec()).unwrap()));
-            });
-            summary.push((label, timed_batch(&service, &jobs)));
-            service.shutdown();
-        }
+            )
+        });
+        let batch = |service| move || run_batch(service, jobs);
+        let [t1, tn] = measure::interleave(rounds, [&mut batch(&one), &mut batch(&many)]);
+        speedups.push((arm, t1.median() / tn.median()));
+        summary.push((format!("{arm}_1worker"), t1));
+        summary.push((format!("{arm}_{n_workers}worker"), tn));
+        one.shutdown();
+        many.shutdown();
     }
 
     // Combined grain: half the workers, each running its jobs over a
@@ -102,77 +107,42 @@ fn bench_service(c: &mut Criterion) {
     // this arm is expected to trail rpc_N on latency and match it on
     // correctness-relevant throughput shape.
     let combined_workers = (n_workers / 2).max(1);
-    let combined = DiagnosisService::with_shared_index(
+    let combined = service(
         ServiceConfig::with_workers(combined_workers)
             .intra_threads(2)
             .cache_capacity(0)
             .rpc_latency(RPC_LATENCY),
-        Arc::clone(&index),
     );
-    let combined_label = format!("rpc_combined_{combined_workers}x2");
-    group.bench_with_input(
-        BenchmarkId::new("batch64", &combined_label),
-        &jobs,
-        |b, jobs| {
-            b.iter(|| black_box(combined.run_batch(jobs.to_vec()).unwrap()));
-        },
-    );
-    summary.push((combined_label, timed_batch(&combined, &jobs)));
+    summary.push((
+        format!("rpc_combined_{combined_workers}x2"),
+        measure::time(rounds, || run_batch(&combined, jobs)),
+    ));
     combined.shutdown();
 
     // Cache arm: after the first batch, every job is answered from the LRU.
-    let cached_service = DiagnosisService::with_shared_index(
-        ServiceConfig::with_workers(n_workers).cache_capacity(2 * N_JOBS),
-        Arc::clone(&index),
-    );
-    cached_service.run_batch(jobs.clone()).unwrap(); // warm the cache
-    group.bench_with_input(
-        BenchmarkId::new("batch64", "cache_hit"),
-        &jobs,
-        |b, jobs| {
-            b.iter(|| black_box(cached_service.run_batch(jobs.to_vec()).unwrap()));
-        },
-    );
-    summary.push(("cache_hit".into(), timed_batch(&cached_service, &jobs)));
-    cached_service.shutdown();
-    group.finish();
+    let cached = service(ServiceConfig::with_workers(n_workers).cache_capacity(2 * N_JOBS));
+    cached.run_batch(jobs.to_vec()).unwrap(); // warm the cache
+    summary.push((
+        "cache_hit".into(),
+        measure::time(rounds, || run_batch(&cached, jobs)),
+    ));
+    cached.shutdown();
 
-    println!("\nservice scaling summary ({N_JOBS} jobs, N = {n_workers} workers):");
+    println!("\nservice scaling summary ({N_JOBS} jobs, N = {n_workers} workers, median):");
     for (label, t) in &summary {
-        println!("  {label:16} {t:>12.3?}");
+        println!("  {label:16} {:>10.3} ms", t.median() * 1e3);
     }
-    let find = |l: &str| summary.iter().find(|(s, _)| s == l).map(|(_, t)| *t);
-    if let (Some(one), Some(n)) = (
-        find("rpc_1worker"),
-        &find(&format!("rpc_{n_workers}worker")),
-    ) {
-        println!(
-            "  rpc arm speedup: {:.2}x ({} workers vs 1)",
-            one.as_secs_f64() / n.as_secs_f64(),
-            n_workers
-        );
-    }
-    if let (Some(one), Some(n)) = (
-        find("cpu_1worker"),
-        &find(&format!("cpu_{n_workers}worker")),
-    ) {
-        println!(
-            "  cpu arm speedup: {:.2}x ({} workers vs 1)",
-            one.as_secs_f64() / n.as_secs_f64(),
-            n_workers
-        );
+    for (arm, speedup) in speedups {
+        println!("  {arm} arm speedup: {speedup:.2}x ({n_workers} workers vs 1)");
     }
 }
 
 /// Tracing-overhead arm. Runs after `bench_service`, which measures the
 /// disabled path: interleaved rounds of cpu batches with tracing off, on,
 /// and tail-sampled, byte-identity asserted between the three.
-fn bench_tracing_overhead(_c: &mut Criterion) {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let samples = if test_mode { 1 } else { 21 };
-    let suite = TraceBench::generate();
-    let jobs = workload(&suite);
-    let index = Arc::new(Retriever::build());
+fn bench_tracing_overhead(jobs: &[JobRequest], index: &Arc<Retriever>) {
+    let bench = Bench::open("BENCH_obs.json");
+    let samples = measure::rounds(21);
     let workers = 4;
 
     assert!(
@@ -195,15 +165,15 @@ fn bench_tracing_overhead(_c: &mut Criterion) {
     ];
     let service = DiagnosisService::with_shared_index(
         ServiceConfig::with_workers(workers).cache_capacity(0),
-        Arc::clone(&index),
+        Arc::clone(index),
     );
-    // One untimed batch per arm warms it up and checks byte-identity.
+    // One untimed batch per arm checks byte-identity.
     let texts: Vec<Vec<String>> = arms
         .iter()
         .map(|tracer| {
             ioobserve::install_tracer(tracer.clone());
             service
-                .run_batch(jobs.clone())
+                .run_batch(jobs.to_vec())
                 .unwrap()
                 .into_iter()
                 .map(|r| r.diagnosis.text)
@@ -218,40 +188,35 @@ fn bench_tracing_overhead(_c: &mut Criterion) {
         texts[0], texts[2],
         "tail sampling must not perturb diagnosis output"
     );
-    let mut times: [Vec<Duration>; 3] = Default::default();
-    for round in 0..samples {
-        for k in 0..arms.len() {
-            let arm = (round + k) % arms.len();
-            ioobserve::install_tracer(arms[arm].clone());
-            times[arm].push(timed_batch(&service, &jobs));
-        }
-    }
+    // Each timed batch swaps in its arm's tracer first (an atomic pointer
+    // swap, negligible against a batch).
+    let traced = |arm: usize| {
+        ioobserve::install_tracer(arms[arm].clone());
+        run_batch(&service, jobs);
+    };
+    let [off, on, tail] = measure::interleave(
+        samples,
+        [&mut || traced(0), &mut || traced(1), &mut || traced(2)],
+    );
     ioobserve::install_tracer(ioobserve::Tracer::disabled());
     // Worker threads flush their span buffers as they exit.
     service.shutdown();
     arms[1].flush();
     arms[2].flush();
-    let [off_min, on_min, tail_min] = times.each_ref().map(|t| *t.iter().min().unwrap());
     // Overhead is the median over rounds of each arm's batch against the
     // untraced batch of the same round: adjacent batches share the host's
     // state, so a noisy stretch moves both sides of a pair.
-    let paired = |arm: &[Duration]| -> (f64, Duration) {
-        let mut pct: Vec<f64> = arm
-            .iter()
-            .zip(&times[0])
-            .map(|(on, off)| (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64())
-            .collect();
-        let mut abs: Vec<Duration> = arm
-            .iter()
-            .zip(&times[0])
-            .map(|(on, off)| on.saturating_sub(*off))
-            .collect();
-        pct.sort_by(f64::total_cmp);
-        abs.sort();
-        (pct[pct.len() / 2], abs[abs.len() / 2])
+    let paired = |arm: &Samples| -> (f64, Duration) {
+        let pairs = || arm.0.iter().zip(&off.0);
+        let pct: Vec<f64> = pairs().map(|(on, off)| (on - off) / off).collect();
+        let delta: Vec<f64> = pairs().map(|(on, off)| (on - off).max(0.0)).collect();
+        (
+            quantile(&pct, 0.5),
+            Duration::from_secs_f64(quantile(&delta, 0.5)),
+        )
     };
-    let (overhead, on_abs) = paired(&times[1]);
-    let (tail_overhead, tail_abs) = paired(&times[2]);
+    let (overhead, on_delta) = paired(&on);
+    let (tail_overhead, tail_delta) = paired(&tail);
 
     let count_spans = |dir: &std::path::Path| {
         std::fs::read_dir(dir)
@@ -268,23 +233,16 @@ fn bench_tracing_overhead(_c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&trace_dir);
     let _ = std::fs::remove_dir_all(&tail_dir);
 
+    let [off_min_ms, on_min_ms, tail_min_ms] = [&off, &on, &tail].map(|s| s.min() * 1e3);
     println!(
         "\ntracing overhead ({N_JOBS} jobs, {workers} workers, {samples} interleaved rounds; \
-         min batch, median paired overhead): off {off_min:.3?}, on {on_min:.3?} ({:+.2}%), \
-         {spans_written} spans written; tail {tail_min:.3?} ({:+.2}%), {tail_spans} spans written",
+         min batch, median paired overhead): off {off_min_ms:.3} ms, on {on_min_ms:.3} ms \
+         ({:+.2}%), {spans_written} spans written; tail {tail_min_ms:.3} ms ({:+.2}%), \
+         {tail_spans} spans written",
         overhead * 100.0,
         tail_overhead * 100.0
     );
 
-    if test_mode {
-        println!("bench service tracing arm: ok (test mode, JSON/gate skipped)");
-        return;
-    }
-
-    let generated_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
     let record = serde_json::json!({
         "bench": "service_tracing_overhead",
         "trace_detail": "stage",
@@ -293,51 +251,30 @@ fn bench_tracing_overhead(_c: &mut Criterion) {
         "samples": samples,
         "arms_interleaved": true,
         "overhead_estimator": "median over rounds of (arm - off) / off",
-        "tracing_off_min_ms": off_min.as_secs_f64() * 1e3,
-        "tracing_on_min_ms": on_min.as_secs_f64() * 1e3,
+        "tracing_off_min_ms": off_min_ms,
+        "tracing_on_min_ms": on_min_ms,
         "overhead_pct": overhead * 100.0,
         "spans_written": spans_written,
         "tail_rule": "tail:p99",
-        "tracing_tail_min_ms": tail_min.as_secs_f64() * 1e3,
+        "tracing_tail_min_ms": tail_min_ms,
         "tail_overhead_pct": tail_overhead * 100.0,
         "tail_spans_written": tail_spans,
-        "generated_unix": generated_unix,
     });
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
-    std::fs::write(
-        &path,
-        format!("{}\n", serde_json::to_string(&record).unwrap()),
-    )
-    .expect("write BENCH_obs.json");
-    println!("wrote {}", path.display());
-
-    if std::env::var("BENCH_GATE").is_ok() {
-        // Same-run ratio: machine-independent. The absolute floor keeps a
-        // sub-noise delta on a very fast batch from false-redding.
-        let mut failed = false;
-        for (label, absolute, pct) in [
-            ("tracing", on_abs, overhead),
-            ("tail sampling", tail_abs, tail_overhead),
+    if let Some(mut gate) = bench.write(record) {
+        // Same-run ratio: machine-independent.
+        for (label, delta, pct) in [
+            ("tracing", on_delta, overhead),
+            ("tail sampling", tail_delta, tail_overhead),
         ] {
-            if pct < 0.03 || absolute < Duration::from_millis(5) {
-                println!(
-                    "gate: OK ({label} overhead {:.2}% < 3%)",
-                    pct.max(0.0) * 100.0
-                );
-            } else {
-                eprintln!(
-                    "REGRESSION: {label} overhead {:.2}% exceeds the 3% budget \
-                     (median paired delta {absolute:.3?} over off {off_min:.3?})",
+            gate.check(
+                measure::overhead_ok(pct, delta),
+                format!(
+                    "{label} overhead {:.2}% (budget 3%, median paired delta {delta:.3?} \
+                     over off {off_min_ms:.3} ms, 5 ms noise floor)",
                     pct * 100.0
-                );
-                failed = true;
-            }
+                ),
+            );
         }
-        if failed {
-            std::process::exit(1);
-        }
+        gate.finish();
     }
 }
-
-criterion_group!(benches, bench_service, bench_tracing_overhead);
-criterion_main!(benches);

@@ -28,6 +28,7 @@
 //! improvement also collapsed. `--test` runs a small smoke workload and
 //! skips the JSON write and the gate.
 
+use ioagent_bench::measure::{self, quantile, Bench};
 use ioagent_core::MergeStrategy;
 use ioagentd::{
     DiagnosisService, HedgePolicy, JobRequest, ResiliencePolicy, Retriever, ServiceConfig,
@@ -146,28 +147,9 @@ fn open_loop(service: &DiagnosisService, jobs: &[JobRequest], rate: f64) -> ArmO
     }
 }
 
-/// Exact quantile over a sorted copy (nearest-rank on the sorted order).
-fn quantile(latencies_ms: &[f64], p: f64) -> f64 {
-    let mut sorted = latencies_ms.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-fn repo_root_bench_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_tail.json")
-}
-
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let n_jobs = if test_mode { 60 } else { 1000 };
-
-    // Read the committed baseline *before* overwriting it.
-    let baseline: Option<serde_json::Value> = std::fs::read_to_string(repo_root_bench_path())
-        .ok()
-        .and_then(|raw| serde_json::from_str(&raw).ok());
-    let baseline_field =
-        |name: &str| -> Option<f64> { baseline.as_ref()?.get(name).and_then(|x| x.as_f64()) };
+    let bench = Bench::open("BENCH_tail.json");
+    let n_jobs = if measure::test_mode() { 60 } else { 1000 };
 
     let suite = TraceBench::generate();
     let index = Arc::new(Retriever::build());
@@ -274,15 +256,6 @@ fn main() {
          lower than faults_off"
     );
 
-    if test_mode {
-        println!("bench tail: ok (test mode, JSON/gate skipped)");
-        return;
-    }
-
-    let generated_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
     let arm_json = |o: &ArmOutcome| {
         serde_json::json!({
             "p50_ms": p(o, 0.50),
@@ -306,60 +279,21 @@ fn main() {
         "faults_on": arm_json(&faults_on),
         "improvement_p99": improvement_p99,
         "improvement_p999": improvement_p999,
-        "generated_unix": generated_unix,
     });
-    let path = repo_root_bench_path();
-    std::fs::write(
-        &path,
-        format!("{}\n", serde_json::to_string(&record).unwrap()),
-    )
-    .expect("write BENCH_tail.json");
-    println!("wrote {}", path.display());
-
-    if std::env::var("BENCH_GATE").is_ok() {
-        let mut failures: Vec<String> = Vec::new();
+    if let Some(mut gate) = bench.write(record) {
         // The same-run improvement ratio is machine-independent: hard gate.
-        if improvement_p999 < MIN_IMPROVEMENT {
-            failures.push(format!(
-                "countermeasures cut p999 only {improvement_p999:.2}x \
-                 (floor {MIN_IMPROVEMENT}x over faults_off)"
-            ));
-        }
-        // Absolute p999 vs the committed baseline needs both signals — a
-        // >2× regression AND a collapsed same-run improvement — so a slow
-        // CI machine that inflates every arm equally cannot false-red.
-        let baseline_p999 = baseline
-            .as_ref()
-            .and_then(|b| b.get("faults_on")?.get("p999_ms")?.as_f64());
-        if let (Some(base_ms), Some(base_improvement)) =
-            (baseline_p999, baseline_field("improvement_p999"))
-        {
-            let on_ms = p(&faults_on, 0.999);
-            let absolute_regressed = on_ms > 2.0 * base_ms;
-            let ratio_collapsed = improvement_p999 < base_improvement / 2.0;
-            if absolute_regressed && ratio_collapsed {
-                failures.push(format!(
-                    "faults_on p999 {on_ms:.1} ms is more than 2x the committed baseline \
-                     {base_ms:.1} ms AND the same-run improvement collapsed to \
-                     {improvement_p999:.1}x (baseline {base_improvement:.1}x)"
-                ));
-            } else if absolute_regressed {
-                println!(
-                    "gate: p999 {on_ms:.1} ms exceeds 2x baseline {base_ms:.1} ms but the \
-                     same-run improvement is still {improvement_p999:.1}x — slow machine, \
-                     not a regression; passing"
-                );
-            }
-        } else {
-            println!("gate: no committed tail baseline found — skipping absolute comparison");
-        }
-        if failures.is_empty() {
-            println!("gate: OK (p999 improvement {improvement_p999:.1}x)");
-        } else {
-            for f in &failures {
-                eprintln!("REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
+        gate.at_least(
+            "countermeasures' p999 cut over faults_off",
+            improvement_p999,
+            MIN_IMPROVEMENT,
+        );
+        gate.two_signal(
+            "faults_on p999 (ms)",
+            p(&faults_on, 0.999),
+            bench.baseline("faults_on/p999_ms"),
+            improvement_p999,
+            measure::ratio_floor(bench.baseline("improvement_p999"), None),
+        );
+        gate.finish();
     }
 }

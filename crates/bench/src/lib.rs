@@ -1,7 +1,8 @@
 //! Shared harness for regenerating every table and figure of the IOAgent
-//! paper. Each `src/bin/*` binary prints one artifact; the Criterion
-//! benches in `benches/` time the underlying pipelines.
+//! paper. Each `src/bin/*` binary prints one artifact; the benches in
+//! `benches/` time the underlying pipelines through [`measure`].
 
+pub mod measure;
 pub mod synth;
 
 use baselines::{Drishti, Ion};
